@@ -43,9 +43,12 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -108,12 +111,12 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "driver/run.hpp"
 #include "fault/campaign.hpp"
 #include "net/network.hpp"
+#include "obs/text.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/walltime.hpp"
 
@@ -325,25 +328,23 @@ KernelResult bench_scale_fed_faulty(std::uint64_t seed, std::size_t clusters,
                       g_alloc_bytes - bytes0};
 }
 
-/// Tracing-off kernel: the trace level sits at kStats (the default) while
-/// the emission sites fire at kProtocol, and the structured-trace recorder
-/// pointer is null — the exact state of every production golden run.  The
-/// tiers' whole contract is that this costs nothing, so the kernel asserts
-/// zero allocations outright (an invariant, not a trend number) and the
-/// process exits non-zero on violation.
+/// Tracing-off kernel: an HC3I_OBS site fires on an event stream nobody
+/// subscribes to — the exact state of every production golden run.  The
+/// stream's whole contract is that this costs nothing, so the kernel
+/// asserts zero allocations outright (an invariant, not a trend number)
+/// and the process exits non-zero on violation.
 KernelResult bench_trace_off(std::uint64_t ops) {
-  if (Trace::level() != TraceLevel::kStats) {
-    std::fprintf(stderr, "trace_off kernel: expected default kStats level\n");
+  const obs::EventStream stream;  // no subscribers: tracing off
+  if (stream.active()) {
+    std::fprintf(stderr, "trace_off kernel: expected an idle stream\n");
     std::exit(1);
   }
-  obs::Recorder* rec = nullptr;  // tracing off: AgentContext carries null
   std::uint64_t sunk = 0;
   const double t0 = now_sec();
   const std::uint64_t allocs0 = g_allocs;
   for (std::uint64_t i = 0; i < ops; ++i) {
     const SimTime now{static_cast<std::int64_t>(i)};
-    HC3I_TRACE(kProtocol, now, "never formatted " << i);
-    HC3I_OBS(rec, obs::RecordKind::kClcCommit, now, 0, 0, i);
+    HC3I_OBS(stream, obs::RecordKind::kClcCommit, now, 0, 0, i);
     sunk += i;
   }
   const double elapsed = now_sec() - t0;
@@ -359,29 +360,43 @@ KernelResult bench_trace_off(std::uint64_t ops) {
   return KernelResult{ops, elapsed, allocs};
 }
 
-/// Steady-state text-trace emission: level kAction, a counting sink, one
-/// representative line.  After a short warm-up (the reused line buffer
-/// grows once), emitting must not allocate at all — the regression this
-/// guards is Trace::emit rebuilding a std::string per line.
-KernelResult bench_trace_emit(std::uint64_t ops) {
-  const TraceLevel saved = Trace::level();
-  Trace::set_level(TraceLevel::kAction);
-  std::uint64_t lines = 0;
-  Trace::set_sink([&lines](const std::string&) { ++lines; });
-  const std::string line = "node 42 sent 1024B to node 17 (app_seq 12345)";
-  for (int i = 0; i < 64; ++i) {
-    Trace::emit(TraceLevel::kAction, seconds(i), line);
+/// Counts the lines written to it and keeps nothing (the renderer writes
+/// whole lines through ostream::write, i.e. xsputn).
+class LineCounter final : public std::streambuf {
+ public:
+  std::uint64_t lines{0};
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    lines += static_cast<std::uint64_t>(std::count(s, s + n, '\n'));
+    return n;
   }
+};
+
+/// Steady-state text-trace rendering: a commit record (the longest line,
+/// with a 4-entry DDV) dispatched through a stream to the text renderer,
+/// writing into a counting sink.  After a short warm-up (the reused line
+/// buffer grows once), rendering must not allocate at all — the regression
+/// this guards is a renderer building a std::string per line.
+KernelResult bench_trace_emit(std::uint64_t ops) {
+  LineCounter counter;
+  std::ostream sink(&counter);
+  obs::TextRenderer renderer(sink);
+  obs::EventStream stream;
+  stream.subscribe(renderer);
+  const SeqNum ddv[] = {12, 7, 3, 41};
+  const auto emit = [&](SimTime t, std::uint64_t i) {
+    HC3I_OBS(stream, obs::RecordKind::kClcCommit, t, 2, 17, i, i, 0, nullptr,
+             ddv);
+  };
+  for (int i = 0; i < 64; ++i) emit(seconds(i), static_cast<std::uint64_t>(i));
   const double t0 = now_sec();
   const std::uint64_t allocs0 = g_allocs;
   for (std::uint64_t i = 0; i < ops; ++i) {
-    Trace::emit(TraceLevel::kAction, SimTime{static_cast<std::int64_t>(i)},
-                line);
+    emit(SimTime{static_cast<std::int64_t>(i)}, i);
   }
   const double elapsed = now_sec() - t0;
   const std::uint64_t allocs = g_allocs - allocs0;
-  Trace::set_sink({});
-  Trace::set_level(saved);
   if (allocs != 0) {
     std::fprintf(stderr,
                  "trace_emit kernel: %llu steady-state allocations "
@@ -389,7 +404,9 @@ KernelResult bench_trace_emit(std::uint64_t ops) {
                  static_cast<unsigned long long>(allocs));
     std::exit(1);
   }
-  if (lines != ops + 64) std::fprintf(stderr, "trace_emit: lost lines?\n");
+  if (counter.lines != ops + 64) {
+    std::fprintf(stderr, "trace_emit: lost lines?\n");
+  }
   return KernelResult{ops, elapsed, allocs};
 }
 

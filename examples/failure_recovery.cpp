@@ -6,21 +6,24 @@
 //   ./failure_recovery [--seed=1] [--quiet]
 
 #include <cstdio>
+#include <iostream>
 
 #include "config/presets.hpp"
 #include "driver/run.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 
 using namespace hc3i;
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  if (!flags.get_bool("quiet", false)) {
-    Trace::set_level(TraceLevel::kProtocol);
-  }
 
   driver::RunOptions opts;
+  if (!flags.get_bool("quiet", false)) {
+    // The protocol trace goes to stderr.  Untie it from stdout so a trace
+    // line does not flush the report text buffered ahead of it.
+    std::cerr.tie(nullptr);
+    opts.text_trace = &std::cerr;
+  }
   // Three small clusters with a modest inter-cluster exchange pattern.
   opts.spec = config::small_test_spec(3, 4);
   opts.spec.application.total_time = hours(1);

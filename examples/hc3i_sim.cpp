@@ -5,7 +5,7 @@
 //   ./hc3i_sim <topology.conf> <application.conf> <timers.conf>
 //              [--seed=1] [--protocol=hc3i|independent|global|hier|pessimistic]
 //              [--failures] [--campaign=<campaign.conf>]
-//              [--trace=stats|protocol|action] [--csv]
+//              [--trace=stats|protocol] [--csv]
 //              [--trace-out=<trace.json>] [--metrics-out=<metrics.tsv>]
 //              [--metrics-interval=<dur>]
 //
@@ -20,20 +20,21 @@
 // are byte-reproducible for a fixed seed; see docs/observability.md.
 //
 // Prints the end-of-run statistics block (the simulator's "lowest output",
-// per the paper); --trace=action shows "each node time-stamped action".
+// per the paper); --trace=protocol adds the time-stamped protocol trace
+// (CLC rounds, commits, rollbacks, GC, failures) on stderr.
 // Try it on the committed reference files:
 //
 //   ./hc3i_sim configs/paper/topology.conf configs/paper/application.conf \
 //              configs/paper/timers.conf
 
 #include <cstdio>
+#include <iostream>
 
 #include "config/parser.hpp"
 #include "driver/report.hpp"
 #include "driver/run.hpp"
 #include "obs/export.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 #include "util/quantity.hpp"
 
 using namespace hc3i;
@@ -50,12 +51,13 @@ driver::ProtocolKind parse_protocol(const std::string& name) {
   return driver::ProtocolKind::kHc3i;
 }
 
-TraceLevel parse_trace(const std::string& name) {
-  if (name == "stats") return TraceLevel::kStats;
-  if (name == "protocol") return TraceLevel::kProtocol;
-  if (name == "action") return TraceLevel::kAction;
-  HC3I_CHECK(false, "unknown --trace: " + name + " (stats|protocol|action)");
-  return TraceLevel::kStats;
+/// --trace level (paper §5.1): "stats" prints only the end-of-run report,
+/// "protocol" adds the time-stamped protocol trace on stderr.
+bool parse_trace(const std::string& name) {
+  if (name == "stats") return false;
+  if (name == "protocol") return true;
+  HC3I_CHECK(false, "unknown --trace: " + name + " (stats|protocol)");
+  return false;
 }
 
 }  // namespace
@@ -72,9 +74,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    Trace::set_level(parse_trace(flags.get("trace", "stats")));
-
     driver::RunOptions opts;
+    if (parse_trace(flags.get("trace", "stats"))) {
+      std::cerr.tie(nullptr);  // trace lines must not flush stdout
+      opts.text_trace = &std::cerr;
+    }
     opts.spec = config::load_run_spec(flags.positional()[0],
                                       flags.positional()[1],
                                       flags.positional()[2]);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::baselines {
 
@@ -322,8 +321,8 @@ void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
   const Incarnation new_inc = rt_.bump_incarnation();
   HC3I_CHECK(!rt_.store(ClusterId{0}).empty(), "no global checkpoint");
   const SeqNum target_sn = rt_.store(ClusterId{0}).last().sn;
-  HC3I_TRACE(kProtocol, now(),
-             "GLOBAL rollback to sn=" << target_sn << " inc=" << new_inc);
+  HC3I_OBS(events(), obs::RecordKind::kGlobalRollback, now(), fault_cluster.v,
+           self().v, new_inc, target_sn);
 
   // Everything in flight belongs to the undone epoch.
   ctx_.network->drop_in_flight(

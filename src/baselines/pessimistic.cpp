@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::baselines {
 

@@ -1,5 +1,7 @@
 #include "driver/run.hpp"
 
+#include <optional>
+
 #include "baselines/global.hpp"
 #include "baselines/independent.hpp"
 #include "baselines/pessimistic.hpp"
@@ -8,7 +10,7 @@
 #include "fed/federation.hpp"
 #include "hc3i/agent.hpp"
 #include "obs/sampler.hpp"
-#include "util/log.hpp"
+#include "obs/text.hpp"
 
 namespace hc3i::driver {
 
@@ -71,15 +73,20 @@ RunResult run_simulation(const RunOptions& opts, SimContext& ctx) {
   stats::Registry registry;
   fed::Federation fed(sim, o.spec, registry);
 
-  // Observability: one Recording per run when enabled.  The recorder must
-  // be installed before build_agents (agents capture the pointer in their
-  // context); the sampler rides the ordinary event queue, so its ticks are
-  // part of the deterministic schedule.
+  // Observability: one Recording per run when enabled.  The recorder and
+  // the text renderer subscribe to the federation's event stream ahead of
+  // the campaign engine, so each record reaches them first; the sampler
+  // rides the ordinary event queue, so its ticks are part of the
+  // deterministic schedule.
   std::shared_ptr<obs::Recording> recording;
   if (o.trace || o.metrics_interval != SimTime::zero()) {
     recording = std::make_shared<obs::Recording>();
     recording->metrics_interval = o.metrics_interval;
-    if (o.trace) fed.set_recorder(&recording->recorder);
+    if (o.trace) fed.events().subscribe(recording->recorder);
+  }
+  std::optional<obs::TextRenderer> text;
+  if (o.text_trace != nullptr) {
+    fed.events().subscribe(text.emplace(*o.text_trace));
   }
 
   app::Workload workload(sim, fed.topology(), o.spec.application, registry,

@@ -9,6 +9,7 @@
 // This is the paper's "Controller" thread (§5.1) in library form.
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,9 +72,14 @@ struct RunOptions {
   /// Throw CheckFailure on any consistency violation (tests rely on it);
   /// when false, violations are only reported in the result.
   bool validate{true};
-  /// Collect the structured protocol trace (obs::Recorder threaded through
-  /// every agent; off = every emission site is one null-pointer test).
+  /// Collect the structured protocol trace (an obs::Recorder subscribed to
+  /// the run's event stream; off = every emission site is one inline test).
   bool trace{false};
+  /// Render the paper's §5.1 protocol trace level here, one time-stamped
+  /// line per protocol milestone (obs::TextRenderer).  Null = off.  The
+  /// stream is written from the run's thread only and must not be shared
+  /// by concurrent runs.
+  std::ostream* text_trace{nullptr};
   /// Sample the metrics time series every this much simulated time
   /// (zero = off).  Reads counters via Registry::get() only, so arming the
   /// sampler never adds rows to a counter dump.

@@ -65,8 +65,7 @@ void CampaignEngine::arm() {
                    ", past the failure quiesce bound " + to_string(bound_));
   }
 
-  fed_.set_recovery_listener([this](ClusterId c) { on_recovery(c); });
-  if (rt_ != nullptr) rt_->set_observer(this);
+  fed_.events().subscribe(*this);
 
   // Streams arm first: the auto_failures shim occupies stream index 0 and
   // historically scheduled its first draw before any scripted kill.
@@ -150,7 +149,7 @@ void CampaignEngine::inject(NodeId victim, const char* source) {
   // Every injection path (scripted, burst, MTBF stream, repeat offender,
   // phase trigger) funnels through here, so one record catches the campaign
   // decision with its source label; the federation emits the fault itself.
-  HC3I_OBS(fed_.recorder(), obs::RecordKind::kCampaignInject, sim().now(),
+  HC3I_OBS(fed_.events(), obs::RecordKind::kCampaignInject, sim().now(),
            cluster_of(victim).v, victim.v, 0, 0, 0, source);
   fed_.inject_failure(victim);
 }
@@ -270,7 +269,7 @@ void CampaignEngine::stream_fire(std::size_t i) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase-targeted triggers (ProtocolObserver)
+// Protocol records: phase-targeted triggers and telemetry stamps
 // ---------------------------------------------------------------------------
 
 void CampaignEngine::trigger_matched(TriggerState& t) {
@@ -288,30 +287,34 @@ void CampaignEngine::trigger_matched(TriggerState& t) {
   });
 }
 
-void CampaignEngine::on_phase1_ack(ClusterId cluster, std::uint64_t /*round*/,
-                                   std::uint32_t acks,
-                                   std::uint32_t /*needed*/) {
+void CampaignEngine::match_triggers(Phase phase, ClusterId cluster,
+                                    std::uint64_t acks) {
   for (TriggerState& t : triggers_) {
-    if (t.done || t.spec.phase != Phase::kPhase1Acks) continue;
-    if (t.spec.cluster != cluster || acks != t.spec.after_acks) continue;
+    if (t.done || t.spec.phase != phase || t.spec.cluster != cluster) continue;
+    if (phase == Phase::kPhase1Acks && acks != t.spec.after_acks) continue;
     if (sim().now() < t.spec.not_before) continue;
     trigger_matched(t);
   }
 }
 
-void CampaignEngine::on_clc_commit(ClusterId cluster, SeqNum /*sn*/,
-                                   bool /*forced*/) {
-  for (TriggerState& t : triggers_) {
-    if (t.done || t.spec.phase != Phase::kCommit) continue;
-    if (t.spec.cluster != cluster) continue;
-    if (sim().now() < t.spec.not_before) continue;
-    trigger_matched(t);
+void CampaignEngine::on_record(const obs::TraceRecord& r) {
+  const ClusterId cluster{r.cluster};
+  switch (r.kind) {
+    case obs::RecordKind::kClcAck:
+      match_triggers(Phase::kPhase1Acks, cluster, r.a);
+      break;
+    case obs::RecordKind::kClcCommit:
+      match_triggers(Phase::kCommit, cluster, 0);
+      break;
+    case obs::RecordKind::kFailureDetected:
+      telemetry_.on_failure_detected(r.t, cluster);
+      break;
+    case obs::RecordKind::kRecoveryEnd:
+      on_recovery(cluster);
+      break;
+    default:
+      break;
   }
-}
-
-void CampaignEngine::on_failure_detected(ClusterId cluster,
-                                         NodeId /*failed*/) {
-  telemetry_.on_failure_detected(sim().now(), cluster);
 }
 
 // ---------------------------------------------------------------------------

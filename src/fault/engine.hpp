@@ -45,6 +45,10 @@
 // Everything the engine schedules is deterministic: per-injector RNG
 // streams are derived from the simulation's master seed with fixed ids, so
 // one (seed, campaign) pair always produces a byte-identical counter dump.
+//
+// The engine observes the protocol on the federation's event stream:
+// kClcAck / kClcCommit fire phase triggers, kFailureDetected and
+// kRecoveryEnd stamp telemetry, and kRecoveryEnd releases held-back kills.
 
 #include <cstdint>
 #include <optional>
@@ -54,12 +58,13 @@
 #include "fault/telemetry.hpp"
 #include "fed/federation.hpp"
 #include "hc3i/runtime.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace hc3i::fault {
 
 /// Arms a campaign against a federation and records per-incident telemetry.
-class CampaignEngine final : public core::ProtocolObserver {
+class CampaignEngine final : public obs::Subscriber {
  public:
   /// `runtime` may be null (non-HC3I protocols); phase triggers then reject
   /// at arm() time.  `quiesce_bound` is the last admissible injection time.
@@ -69,9 +74,10 @@ class CampaignEngine final : public core::ProtocolObserver {
   CampaignEngine(const CampaignEngine&) = delete;
   CampaignEngine& operator=(const CampaignEngine&) = delete;
 
-  /// Validate timing against the quiesce bound and schedule every injector.
-  /// Call once, after Federation::start(); throws CheckFailure on a kill
-  /// that cannot quiesce before validation.
+  /// Validate timing against the quiesce bound, subscribe to the
+  /// federation's event stream and schedule every injector.  Call once,
+  /// after Federation::start(); throws CheckFailure on a kill that cannot
+  /// quiesce before validation.
   void arm();
 
   /// Close the open telemetry window (call after the simulation drains).
@@ -82,11 +88,8 @@ class CampaignEngine final : public core::ProtocolObserver {
     return telemetry_.incidents();
   }
 
-  // core::ProtocolObserver ---------------------------------------------------
-  void on_phase1_ack(ClusterId cluster, std::uint64_t round,
-                     std::uint32_t acks, std::uint32_t needed) override;
-  void on_clc_commit(ClusterId cluster, SeqNum sn, bool forced) override;
-  void on_failure_detected(ClusterId cluster, NodeId failed) override;
+  // obs::Subscriber -----------------------------------------------------------
+  void on_record(const obs::TraceRecord& r) override;
 
  private:
   struct StreamState {
@@ -132,6 +135,8 @@ class CampaignEngine final : public core::ProtocolObserver {
 
   void schedule_stream_next(std::size_t i);
   void stream_fire(std::size_t i);
+  /// `acks` is the phase-1 ack count (ignored for commit triggers).
+  void match_triggers(Phase phase, ClusterId cluster, std::uint64_t acks);
   void trigger_matched(TriggerState& t);
   void on_recovery(ClusterId cluster);
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/log.hpp"
-
 namespace hc3i::fed {
 
 Federation::Federation(sim::Simulation& sim, config::RunSpec spec,
@@ -32,7 +30,7 @@ void Federation::build_agents(const proto::AgentFactory& factory,
     ctx.self = n;
     ctx.cluster = topo_.cluster_of(n);
     ctx.app = apps[i];
-    ctx.obs = recorder_;
+    ctx.events = &events_;
     ctx.recovery_done = [this](ClusterId c) { recovery_complete(c); };
     agents_.push_back(factory(ctx));
     HC3I_CHECK(agents_.back() != nullptr, "agent factory returned null");
@@ -87,9 +85,7 @@ void Federation::inject_failure(NodeId victim) {
   ++recoveries_in_flight_;
   ++failures_;
   registry_.inc("fault.injected");
-  HC3I_TRACE(kProtocol, sim_.now(),
-             "FAILURE node " << victim.v << " (cluster " << c.v << ")");
-  HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
+  HC3I_OBS(events_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);
 
   const SimTime detect = spec_.timers.detection_delay;
@@ -102,20 +98,20 @@ void Federation::inject_failure(NodeId victim) {
   sim_.schedule_after(detect + state_restore_delay(c), [this, victim, c] {
     network_.set_node_up(victim);
     registry_.inc("fault.node_restored");
-    HC3I_OBS(recorder_, obs::RecordKind::kNodeRestored, sim_.now(), c.v,
+    HC3I_OBS(events_, obs::RecordKind::kNodeRestored, sim_.now(), c.v,
              victim.v, 0);
   });
 }
 
 void Federation::recovery_complete(ClusterId c) {
-  HC3I_TRACE(kProtocol, sim_.now(), "RECOVERY complete (cluster " << c.v << ")");
-  HC3I_OBS(recorder_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
   registry_.inc("fault.recovery_complete");
   if (recovery_pending_[c.v]) {
     recovery_pending_[c.v] = 0;
     --recoveries_in_flight_;
   }
-  if (recovery_listener_) recovery_listener_(c);
+  // After the pending flag clears: the campaign engine re-injects queued
+  // kills into this cluster from here.
+  HC3I_OBS(events_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
 }
 
 }  // namespace hc3i::fed

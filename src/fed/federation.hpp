@@ -22,11 +22,14 @@
 // stable-storage replica after a state transfer delay.  Injection policy
 // lives outside: the fault-campaign engine (src/fault/engine.hpp) decides
 // *when* and *whom* to kill, calls inject_failure(), and observes
-// recovery_complete() — which reports *which* cluster finished — through
-// the recovery listener to queue same-cluster kills (or, in legacy
-// serialized mode, every kill) and to time recoveries.
+// recovery_complete() — which reports *which* cluster finished — as a
+// kRecoveryEnd record on the run's event stream, to queue same-cluster
+// kills (or, in legacy serialized mode, every kill) and to time recoveries.
+//
+// The federation owns that event stream (obs/trace.hpp): every agent's
+// context points at it, so a subscriber that joins after build_agents
+// still sees every later record.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,20 +66,11 @@ class Federation {
   void inject_failure(NodeId victim);
 
   /// Protocol signal: the recovery for the last injected failure finished.
+  /// Emits kRecoveryEnd once the cluster is no longer recovery-pending.
   void recovery_complete(ClusterId c);
 
-  /// Install a callback invoked on every recovery_complete() (the campaign
-  /// engine retries deferred injections and stamps telemetry from it).
-  void set_recovery_listener(std::function<void(ClusterId)> listener) {
-    recovery_listener_ = std::move(listener);
-  }
-
-  /// Install the structured-trace recorder (driver-owned; null = off).
-  /// Must be called before build_agents so agents capture the pointer.
-  void set_recorder(obs::Recorder* rec) { recorder_ = rec; }
-  /// The installed recorder (null when observability is off); the campaign
-  /// engine emits its injection-source records through this.
-  obs::Recorder* recorder() const { return recorder_; }
+  /// The run's protocol event stream (subscribe to observe the protocol).
+  obs::EventStream& events() { return events_; }
 
   /// Accessors.
   proto::ProtocolAgent& agent(NodeId n);
@@ -113,8 +107,7 @@ class Federation {
   net::Network network_;
   proto::ConsistencyLedger ledger_;
   std::vector<std::unique_ptr<proto::ProtocolAgent>> agents_;
-  obs::Recorder* recorder_{nullptr};
-  std::function<void(ClusterId)> recovery_listener_;
+  obs::EventStream events_;
   std::vector<std::uint8_t> recovery_pending_;  ///< per cluster, 0/1
   std::uint32_t recoveries_in_flight_{0};
   std::uint32_t failures_{0};

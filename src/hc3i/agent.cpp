@@ -5,7 +5,6 @@
 
 #include "obs/trace.hpp"
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::core {
 
@@ -354,10 +353,7 @@ void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
   auto req = proto::make_pooled<ClcRequest>();
   req->round = active_round_id_;
   req->inc = inc_;
-  HC3I_TRACE(kProtocol, now(),
-             "C" << cluster().v << " CLC round " << active_round_id_
-                 << (reason == RoundReason::kForced ? " (forced)" : " (timer)"));
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kClcRoundBegin, now(), cluster().v,
+  HC3I_OBS(events(), obs::RecordKind::kClcRoundBegin, now(), cluster().v,
            self().v, active_round_id_,
            reason == RoundReason::kForced ? 1 : 0);
   broadcast_control(cluster(), ControlSizes::kSmall, std::move(req),
@@ -398,7 +394,7 @@ void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
   const std::uint64_t stall_us = static_cast<std::uint64_t>(stall.ns / 1000);
   stat(stat_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
   named_stat(stat_g_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kCkptWrite, now(), cluster().v, self().v,
+  HC3I_OBS(events(), obs::RecordKind::kCkptWrite, now(), cluster().v, self().v,
            round_, bytes, static_cast<std::uint64_t>(stall.ns));
   const Incarnation round_inc = inc_;
   const std::uint64_t round_id = round_;
@@ -465,13 +461,8 @@ void Hc3iAgent::handle_clc_ack(const ClcAck& m) {
   parts_[idx] = m.part;
   round_ddv_merge_.merge_max(m.node_ddv);
   ++acks_received_;
-  if (ProtocolObserver* ob = rt_.observer()) {
-    // Phase-targeted fault injection observes the ack/commit window here.
-    ob->on_phase1_ack(cluster(), active_round_id_,
-                      static_cast<std::uint32_t>(acks_received_),
-                      static_cast<std::uint32_t>(parts_.size()));
-  }
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kClcAck, now(), cluster().v, m.node.v,
+  // Phase-targeted fault injection observes the ack/commit window here.
+  HC3I_OBS(events(), obs::RecordKind::kClcAck, now(), cluster().v, m.node.v,
            active_round_id_, acks_received_, parts_.size());
   if (acks_received_ == parts_.size()) coordinator_commit_round();
 }
@@ -535,11 +526,6 @@ void Hc3iAgent::coordinator_commit_round() {
   }
   stat(stat_store_max_clcs_, "store.max_clcs").raise(store().size());
   stat(stat_store_max_bytes_, "store.max_bytes").raise(store().storage_bytes());
-  HC3I_TRACE(kProtocol, now(), "C" << cluster().v << " commit CLC sn=" << new_sn
-                                   << " ddv=" << new_ddv.to_string());
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kClcCommit, now(), cluster().v, self().v,
-           active_round_id_, static_cast<std::uint64_t>(new_sn),
-           round_reason_ == RoundReason::kForced ? 1 : 0);
 
   round_active_ = false;
   auto commit = proto::make_pooled<ClcCommit>();
@@ -551,10 +537,11 @@ void Hc3iAgent::coordinator_commit_round() {
                     ControlSizes::kSmall +
                         new_ddv.size() * ControlSizes::kPerDdvEntry,
                     std::move(commit), /*include_self=*/true);
-  if (ProtocolObserver* ob = rt_.observer()) {
-    ob->on_clc_commit(cluster(), new_sn,
-                      round_reason_ == RoundReason::kForced);
-  }
+  // After the broadcast: a commit-phase kill the campaign engine schedules
+  // from this record queues behind the commit deliveries.
+  HC3I_OBS(events(), obs::RecordKind::kClcCommit, now(), cluster().v, self().v,
+           active_round_id_, static_cast<std::uint64_t>(new_sn),
+           round_reason_ == RoundReason::kForced ? 1 : 0, nullptr, new_ddv);
 }
 
 void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
@@ -605,9 +592,8 @@ void Hc3iAgent::on_failure_detected(NodeId failed) {
   // stored CLC."
   HC3I_CHECK(ctx_.topology->cluster_of(failed) == cluster(),
              "failure notification routed to wrong cluster");
-  if (ProtocolObserver* ob = rt_.observer()) {
-    ob->on_failure_detected(cluster(), failed);
-  }
+  HC3I_OBS(events(), obs::RecordKind::kFailureDetected, now(), cluster().v,
+           failed.v, 0);
   stat(stat_rollback_faults_, "rollback.faults").inc();
   proto::ClcRecord rec = store().last();  // copy: the store gets truncated
   // The failed node lost its volatile memory; it will restore the
@@ -636,16 +622,8 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
       .inc(ctx_.topology->cluster_size(c));
   named_summary(stat_rollback_depth_, "rollback.depth_clcs")
       .add(static_cast<double>(sn_ - rec.sn));
-  HC3I_TRACE(kProtocol, now(), "C" << c.v << " ROLLBACK to sn=" << rec.sn
-                                   << " inc=" << new_inc
-                                   << (fault_origin ? " (fault)" : " (alert)"));
-  if (fault_origin) {
-    // Alert-triggered rollbacks piggyback on another cluster's recovery
-    // window; only the faulted cluster opens a recovery span (closed by
-    // Federation::recovery_complete).
-    HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), c.v, self().v, 0,
-             static_cast<std::uint64_t>(rec.sn));
-  }
+  HC3I_OBS(events(), obs::RecordKind::kRollbackBegin, now(), c.v, self().v,
+           new_inc, static_cast<std::uint64_t>(rec.sn), fault_origin ? 1 : 0);
 
   // 1. Drop this cluster's stale intra-cluster traffic (app and control) —
   //    except rollback-alert relays: they carry epoch-independent knowledge
@@ -696,7 +674,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
     const std::uint64_t read_us = static_cast<std::uint64_t>(read.ns / 1000);
     stat(stat_recovery_read_, "recovery.read_us").inc(read_us);
     named_stat(stat_g_recovery_read_, "recovery.read_us").inc(read_us);
-    HC3I_OBS(ctx_.obs, obs::RecordKind::kChainRead, now(), c.v, self().v,
+    HC3I_OBS(events(), obs::RecordKind::kChainRead, now(), c.v, self().v,
              static_cast<std::uint64_t>(rec.sn), total_bytes,
              static_cast<std::uint64_t>(read.ns));
     resume_delay += read;
@@ -844,8 +822,7 @@ void Hc3iAgent::on_gc_timer() {
   gc_metas_.assign(rt_.cluster_count(), std::nullopt);
   gc_responses_ = 0;
   ctx_.registry->inc("gc.rounds");
-  HC3I_TRACE(kProtocol, now(), "GC round " << gc_round_ << " start");
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kGcRoundBegin, now(), cluster().v,
+  HC3I_OBS(events(), obs::RecordKind::kGcRoundBegin, now(), cluster().v,
            self().v, gc_round_);
   auto req = proto::make_pooled<GcRequest>();
   req->gc_round = gc_round_;
@@ -916,10 +893,8 @@ void Hc3iAgent::handle_gc_collect(const GcCollect& m) {
   const std::size_t after = store().size();
   rt_.record_gc(now(), cluster(), before, after);
   stat(stat_gc_removed_, "gc.clcs_removed").inc(removed);
-  HC3I_TRACE(kProtocol, now(), "C" << cluster().v << " GC prune: " << before
-                                   << " -> " << after);
-  HC3I_OBS(ctx_.obs, obs::RecordKind::kGcPrune, now(), cluster().v, self().v,
-           m.gc_round, removed);
+  HC3I_OBS(events(), obs::RecordKind::kGcPrune, now(), cluster().v, self().v,
+           m.gc_round, before, after);
   auto prune = proto::make_pooled<GcPrune>();
   prune->min_sns = m.min_sns;
   broadcast_control(cluster(),

@@ -42,29 +42,6 @@ struct GcEvent {
   std::size_t clcs_after{0};
 };
 
-/// Observer of coarse protocol-state transitions (per CLC round / per
-/// failure, never per message).  The fault-campaign engine
-/// (src/fault/engine.hpp) implements it to fire phase-targeted failure
-/// injections ("between phase-1 ack and commit") and to stamp recovery
-/// telemetry; agents notify through the runtime only when an observer is
-/// installed, so failure-free runs pay one null-pointer test per round.
-class ProtocolObserver {
- public:
-  virtual ~ProtocolObserver() = default;
-  /// A coordinator recorded a phase-1 ack: `acks` of `needed` are in and
-  /// the round has not committed yet (when acks == needed the commit
-  /// follows immediately after this call returns).
-  virtual void on_phase1_ack(ClusterId /*cluster*/, std::uint64_t /*round*/,
-                             std::uint32_t /*acks*/,
-                             std::uint32_t /*needed*/) {}
-  /// A cluster committed a CLC.
-  virtual void on_clc_commit(ClusterId /*cluster*/, SeqNum /*sn*/,
-                             bool /*forced*/) {}
-  /// The failure detector notified `cluster`'s surviving coordinator.
-  virtual void on_failure_detected(ClusterId /*cluster*/,
-                                   NodeId /*failed*/) {}
-};
-
 /// Shared protocol state for one simulation run.
 class Hc3iRuntime {
  public:
@@ -122,11 +99,6 @@ class Hc3iRuntime {
   /// All GC outcomes, in occurrence order.
   const std::vector<GcEvent>& gc_events() const { return gc_events_; }
 
-  /// Install (or clear) the protocol observer; `o` must outlive the run.
-  void set_observer(ProtocolObserver* o) { observer_ = o; }
-  /// The installed observer, or nullptr (the common, failure-free case).
-  ProtocolObserver* observer() const { return observer_; }
-
   /// Mark cluster `c` as owing a recovery_done() signal for an injected
   /// fault.  The flag is cluster-level (not agent-level) because the
   /// rollback that pays the debt may be superseded by a cascade routed
@@ -156,7 +128,6 @@ class Hc3iRuntime {
   std::vector<std::vector<Hc3iAgent*>> agents_;  ///< [cluster][local index]
   std::vector<GcEvent> gc_events_;
   std::vector<std::uint8_t> fault_recovery_owed_;  ///< per cluster, 0/1
-  ProtocolObserver* observer_{nullptr};
 };
 
 }  // namespace hc3i::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "util/log.hpp"
 
 namespace hc3i::net {
 

@@ -67,6 +67,7 @@ void append_record(std::string& out, const TraceRecord& r) {
                  r.a);
       break;
     case RecordKind::kFailure:
+    case RecordKind::kFailureDetected:
     case RecordKind::kNodeRestored:
       append_event_head(out, name, "fault", "i", r);
       append_fmt(out, ",\"s\":\"t\",\"args\":{\"node\":%u}}", r.node);
@@ -77,12 +78,23 @@ void append_record(std::string& out, const TraceRecord& r) {
                  r.node, r.label != nullptr ? r.label : "");
       break;
     case RecordKind::kRollbackBegin:
-      // Async "recovery" span per cluster: a second fault into a recovering
-      // cluster queues (federation invariant), so the cluster id is a valid
-      // span id — spans on one track never overlap.
-      append_event_head(out, "recovery", "recovery", "b", r);
-      append_fmt(out, ",\"id\":%u,\"args\":{\"to_sn\":%" PRIu64 "}}",
-                 r.cluster, r.a);
+      if (r.b != 0) {
+        // Async "recovery" span per cluster: a second fault into a
+        // recovering cluster queues (federation invariant), so the cluster
+        // id is a valid span id — spans on one track never overlap.
+        append_event_head(out, "recovery", "recovery", "b", r);
+        append_fmt(out, ",\"id\":%u,\"args\":{\"to_sn\":%" PRIu64 "}}",
+                   r.cluster, r.a);
+        break;
+      }
+      // Alert-triggered rollbacks ride another cluster's recovery window.
+      [[fallthrough]];
+    case RecordKind::kGlobalRollback:
+      append_event_head(out, name, "recovery", "i", r);
+      append_fmt(out,
+                 ",\"s\":\"t\",\"args\":{\"to_sn\":%" PRIu64
+                 ",\"inc\":%" PRIu64 "}}",
+                 r.a, r.id);
       break;
     case RecordKind::kRecoveryEnd:
       append_event_head(out, "recovery", "recovery", "e", r);
@@ -97,7 +109,7 @@ void append_record(std::string& out, const TraceRecord& r) {
       append_fmt(out,
                  ",\"s\":\"t\",\"args\":{\"round\":%" PRIu64
                  ",\"removed\":%" PRIu64 "}}",
-                 r.id, r.a);
+                 r.id, r.a - r.b);
       break;
   }
 }

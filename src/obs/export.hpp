@@ -6,8 +6,9 @@
 // (load it at ui.perfetto.dev or chrome://tracing): CLC rounds and
 // rollback->recovery windows become async "b"/"e" spans on per-cluster
 // tracks, checkpoint writes and recovery chain reads become "X" complete
-// events with their stall as the duration, and acks / failures / GC
-// prunes become "i" instants.  metrics_tsv renders the sampler series as
+// events with their stall as the duration, and acks / failures / alert
+// and global rollbacks / GC prunes become "i" instants.  metrics_tsv
+// renders the sampler series as
 // a tab-separated table with a fixed column set.
 //
 // Both renderings are pure functions of the recording — integer-only

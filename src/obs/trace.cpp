@@ -16,10 +16,14 @@ const char* to_label(RecordKind k) {
       return "chain_read";
     case RecordKind::kFailure:
       return "failure";
+    case RecordKind::kFailureDetected:
+      return "failure_detected";
     case RecordKind::kNodeRestored:
       return "node_restored";
     case RecordKind::kRollbackBegin:
       return "rollback";
+    case RecordKind::kGlobalRollback:
+      return "global_rollback";
     case RecordKind::kRecoveryEnd:
       return "recovery_end";
     case RecordKind::kGcRoundBegin:

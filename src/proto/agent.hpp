@@ -31,9 +31,9 @@ struct AgentContext {
   NodeId self{};
   ClusterId cluster{};
   AppHandle* app{nullptr};  ///< the local process (owned by the workload)
-  /// Structured trace recorder; null when observability is off (the common
-  /// case — every emission site is then a single pointer test, HC3I_OBS).
-  obs::Recorder* obs{nullptr};
+  /// The run's protocol event stream, owned by the federation; emission
+  /// sites go through HC3I_OBS, one inline test when nobody subscribes.
+  obs::EventStream* events{nullptr};
   /// Signals the failure injector that the recovery triggered by the last
   /// detected failure has completed cluster-locally (used to honour the
   /// paper's one-fault-at-a-time assumption).

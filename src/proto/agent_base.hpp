@@ -53,6 +53,9 @@ class AgentBase : public ProtocolAgent {
   /// Simulation clock shorthand.
   SimTime now() const { return ctx_.sim->now(); }
 
+  /// The run's protocol event stream (the HC3I_OBS target).
+  obs::EventStream& events() const { return *ctx_.events; }
+
   /// Lazily resolve a registry counter handle into `slot`: the name lookup
   /// happens once per agent, the counter still only exists once touched.
   stats::Counter& named_stat(stats::Counter*& slot, std::string_view name) {

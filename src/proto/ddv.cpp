@@ -33,14 +33,4 @@ void Ddv::merge_max(const Ddv& other) {
   for (; i < size_; ++i) w[i] = std::max(w[i], theirs[i]);
 }
 
-std::string Ddv::to_string() const {
-  std::string out = "(";
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (i) out += ", ";
-    out += std::to_string(data()[i]);
-  }
-  out += ")";
-  return out;
-}
-
 }  // namespace hc3i::proto

@@ -35,7 +35,6 @@
 #include <cstring>
 #include <initializer_list>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -160,9 +159,6 @@ class Ddv {
     if (a.spilled() && a.spill_ == b.spill_) return true;
     return std::memcmp(a.data(), b.data(), a.size_ * sizeof(SeqNum)) == 0;
   }
-
-  /// "(3, 0, 4)" — rendering used in traces, mirroring the paper's figures.
-  std::string to_string() const;
 
  private:
   /// Header of a heap spill block; the entries follow it in the same

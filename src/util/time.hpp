@@ -79,8 +79,8 @@ inline constexpr std::size_t kTimeBufSize = 64;
 
 /// Format `t` exactly as to_string() would, but into a caller-provided
 /// buffer of at least kTimeBufSize bytes; returns the length written
-/// (excluding the NUL).  The allocation-free flavour the trace hot path
-/// uses (Trace::emit reuses one line buffer per process).
+/// (excluding the NUL).  The allocation-free flavour the text trace uses
+/// (obs::TextRenderer reuses one line buffer per run).
 std::size_t format_time(SimTime t, char* buf, std::size_t cap);
 
 }  // namespace hc3i

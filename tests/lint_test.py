@@ -4,10 +4,6 @@ fixture and stay silent on its clean fixture, so the linter itself cannot
 rot.  Runs as a ctest (`lint_selftest`) and in the CI lint job:
 
     python3 tests/lint_test.py
-
-All fixtures are scanned with the regex engine (the always-available
-fallback) so the results are identical on machines with and without
-libclang.
 """
 
 import os
@@ -21,7 +17,7 @@ import hc3i_lint  # noqa: E402
 
 def scan(snippet, path="src/fake/fixture.cpp"):
     """Lint one in-memory fixture; returns (active, suppressed, errors)."""
-    fs = hc3i_lint.scan_text(path, snippet, engine="regex")
+    fs = hc3i_lint.scan_text(path, snippet)
     active = [f for f in fs.findings if not f.suppressed_by]
     suppressed = [f for f in fs.findings if f.suppressed_by]
     return active, suppressed, fs.errors
@@ -231,19 +227,19 @@ class OwnStatic(unittest.TestCase):
 class TraceGuarded(unittest.TestCase):
     def test_triggers(self):
         for snippet in (
-            "ctx_.obs->emit(obs::RecordKind::kClcCommit, now, c, n, id);",
-            "recorder_.emit(obs::RecordKind::kFailure, now, c, v, 0);",
-            "Trace::emit(TraceLevel::kStats, now, line);",
-            "::hc3i::Trace::emit(TraceLevel::kAction, now, line);",
-            "if (x) { rec->emit(k, t, c, n, id); }",  # hand-rolled guard
+            "ctx_.events->emit(obs::RecordKind::kClcCommit, now, c, n, id);",
+            "events_.emit(obs::RecordKind::kFailure, now, c, v, 0);",
+            "fed_.events().emit(obs::RecordKind::kFailure, now, c, v, 0);",
+            "events().emit(record);",
+            "if (x) { stream->emit(k, t, c, n, id); }",  # hand-rolled guard
         ):
             active, _, _ = scan(snippet)
             self.assertIn("trace-guarded", rules_of(active), snippet)
 
     def test_clean(self):
         for snippet in (
-            "HC3I_OBS(ctx_.obs, obs::RecordKind::kClcAck, now, c, n, id);",
-            "HC3I_TRACE(kProtocol, now, \"cluster \" << c << \" commit\");",
+            "HC3I_OBS(events(), obs::RecordKind::kClcAck, now, c, n, id);",
+            "HC3I_OBS(fed_.events(), obs::RecordKind::kFailure, now, c, v, 0);",
             "registry_.inc(\"clc.total\");",
             "q.emplace(k, v);",  # emplace is not emit
             "// rec->emit(...) in prose\nint x = 0;",
@@ -253,22 +249,21 @@ class TraceGuarded(unittest.TestCase):
 
     def test_implementation_homes_excluded(self):
         for path in ("src/obs/trace.hpp", "src/obs/export.cpp",
-                     "src/util/log.cpp", "src/util/log.hpp"):
+                     "src/obs/text.cpp"):
             active, _, _ = scan(
-                "Trace::emit(lv, t, line); buf->emit(k, t, c, n, id);",
-                path=path)
+                "stream.emit(r); buf->emit(k, t, c, n, id);", path=path)
             self.assertEqual(active, [], path)
 
     def test_out_of_scope_dirs(self):
-        # Drivers set the level themselves; a raw emit there is a choice.
-        active, _, _ = scan("Trace::emit(TraceLevel::kAction, t, line);",
+        # Drivers own the streams they drive; a raw emit there is a choice.
+        active, _, _ = scan("stream.emit(k, t, 0, 0, 1);",
                             path="bench/bench_fake.cpp")
         self.assertEqual(active, [])
 
     def test_tag_suppresses(self):
         active, suppressed, _ = scan(
-            "// lint: trace-ok(level pre-checked by the enclosing branch)\n"
-            "Trace::emit(TraceLevel::kAction, now, line);\n")
+            "// lint: trace-ok(stream activity pre-checked by the branch)\n"
+            "events_.emit(obs::RecordKind::kFailure, now, c, v, 0);\n")
         self.assertEqual(active, [])
         self.assertEqual(rules_of(suppressed), ["trace-guarded"])
 
@@ -313,7 +308,7 @@ class RepoIsClean(unittest.TestCase):
     def test_strict_run_over_tree_passes(self):
         # The real tree, the real baseline, strict mode: exactly what CI
         # runs.  Any regression in either the code or the linter shows here.
-        rc = hc3i_lint.main(["--strict", "--engine=regex"])
+        rc = hc3i_lint.main(["--strict"])
         self.assertEqual(rc, 0)
 
 

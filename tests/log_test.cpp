@@ -1,129 +1,102 @@
-// Unit tests for util/log: level gating, the enabled() guard, sink
-// install/restore, and the HC3I_TRACE macro's skip-below-level contract.
+// Tests for the text protocol log (the paper's §5.1 protocol trace level):
+// non-allocating time formatting, the renderer's reused line buffer, the
+// HC3I_OBS guard that skips argument evaluation when nobody listens, and
+// per-run isolation of renderers.  The exact line of every record kind is
+// pinned in obs_test (TextRenderer.*).
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
-#include <vector>
 
-#include "util/log.hpp"
+#include "obs/text.hpp"
+#include "obs/trace.hpp"
 #include "util/time.hpp"
 
 namespace hc3i {
 namespace {
 
-/// Saves and restores the global trace configuration so these tests cannot
-/// leak a level or sink into the rest of the suite.
-class LogTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_level_ = Trace::level();
-    Trace::set_sink([this](const std::string& line) {
-      lines_.push_back(line);
-    });
-  }
-  void TearDown() override {
-    Trace::set_level(saved_level_);
-    Trace::set_sink({});  // restore stderr
-  }
-
-  std::vector<std::string> lines_;
-
- private:
-  TraceLevel saved_level_{};
-};
-
-TEST_F(LogTest, EmitRespectsLevelGating) {
-  Trace::set_level(TraceLevel::kStats);
-  Trace::emit(TraceLevel::kProtocol, seconds(1), "hidden");
-  Trace::emit(TraceLevel::kAction, seconds(1), "also hidden");
-  EXPECT_TRUE(lines_.empty());
-
-  Trace::emit(TraceLevel::kStats, seconds(1), "visible");
-  ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_EQ(lines_[0], "[1s] visible");
+TEST(TextLog, RendererWritesLinesInEmissionOrder) {
+  std::ostringstream out;
+  obs::TextRenderer renderer(out);
+  obs::EventStream stream;
+  stream.subscribe(renderer);
+  HC3I_OBS(stream, obs::RecordKind::kClcRoundBegin, SimTime::zero(), 0, 0, 1);
+  HC3I_OBS(stream, obs::RecordKind::kClcAck, seconds(1), 0, 1, 1);
+  HC3I_OBS(stream, obs::RecordKind::kGcRoundBegin, seconds(2), 0, 0, 1);
+  EXPECT_EQ(out.str(),
+            "[0] C0 CLC round 1 (timer)\n"
+            "[2s] GC round 1 start\n");
 }
 
-TEST_F(LogTest, HigherLevelsIncludeLowerOnes) {
-  Trace::set_level(TraceLevel::kAction);
-  Trace::emit(TraceLevel::kStats, SimTime::zero(), "a");
-  Trace::emit(TraceLevel::kProtocol, SimTime::zero(), "b");
-  Trace::emit(TraceLevel::kAction, SimTime::zero(), "c");
-  EXPECT_EQ(lines_.size(), 3u);
-}
-
-TEST_F(LogTest, OffSilencesEverything) {
-  Trace::set_level(TraceLevel::kOff);
-  Trace::emit(TraceLevel::kStats, SimTime::zero(), "x");
-  EXPECT_TRUE(lines_.empty());
-}
-
-TEST_F(LogTest, EnabledMatchesLevelOrdering) {
-  Trace::set_level(TraceLevel::kProtocol);
-  EXPECT_TRUE(Trace::enabled(TraceLevel::kStats));
-  EXPECT_TRUE(Trace::enabled(TraceLevel::kProtocol));
-  EXPECT_FALSE(Trace::enabled(TraceLevel::kAction));
-
-  Trace::set_level(TraceLevel::kOff);
-  EXPECT_FALSE(Trace::enabled(TraceLevel::kStats));
-}
-
-TEST_F(LogTest, PrefixesSimTimeLikeToString) {
-  Trace::set_level(TraceLevel::kAction);
-  const SimTime t = minutes(90) + milliseconds(2500);
-  Trace::emit(TraceLevel::kAction, t, "payload");
-  ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_EQ(lines_[0], "[" + to_string(t) + "] payload");
-}
-
-TEST_F(LogTest, SinkInstallAndRestore) {
-  Trace::set_level(TraceLevel::kStats);
-  std::vector<std::string> other;
-  Trace::set_sink([&other](const std::string& line) {
-    other.push_back(line);
-  });
-  Trace::emit(TraceLevel::kStats, SimTime::zero(), "redirected");
-  EXPECT_TRUE(lines_.empty());
-  ASSERT_EQ(other.size(), 1u);
-  EXPECT_EQ(other[0], "[0] redirected");
-
-  // Re-installing the fixture sink routes lines back here; the dangling
-  // reference to `other` must not be invoked afterwards.
-  Trace::set_sink([this](const std::string& line) {
-    lines_.push_back(line);
-  });
-  Trace::emit(TraceLevel::kStats, SimTime::zero(), "back");
-  EXPECT_EQ(other.size(), 1u);
-  EXPECT_EQ(lines_.size(), 1u);
-}
-
-TEST_F(LogTest, MacroSkipsFormattingBelowLevel) {
-  Trace::set_level(TraceLevel::kStats);
-  int evaluations = 0;
-  const auto count = [&evaluations]() {
-    ++evaluations;
-    return "formatted";
-  };
-  HC3I_TRACE(kProtocol, SimTime::zero(), count());
-  EXPECT_EQ(evaluations, 0);  // stream expression never evaluated
-  EXPECT_TRUE(lines_.empty());
-
-  Trace::set_level(TraceLevel::kProtocol);
-  HC3I_TRACE(kProtocol, seconds(2), count() << " now");
-  EXPECT_EQ(evaluations, 1);
-  ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_EQ(lines_[0], "[2s] formatted now");
-}
-
-TEST_F(LogTest, EmitReusesBufferAcrossCalls) {
-  Trace::set_level(TraceLevel::kStats);
+TEST(TextLog, ReusedLineBufferCarriesNoStaleBytes) {
   // A long line followed by a short one: the reused buffer must not carry
   // stale tail bytes into the shorter rendering.
-  Trace::emit(TraceLevel::kStats, seconds(1),
-              std::string(128, 'x'));
-  Trace::emit(TraceLevel::kStats, seconds(1), "short");
-  ASSERT_EQ(lines_.size(), 2u);
-  EXPECT_EQ(lines_[1], "[1s] short");
+  std::ostringstream out;
+  obs::TextRenderer renderer(out);
+  const SeqNum ddv[] = {123456789, 987654321, 555555555, 111111111};
+  obs::TraceRecord commit{seconds(1), 7, 42, 0, 3, 12,
+                          obs::RecordKind::kClcCommit};
+  commit.ddv = ddv;
+  renderer.on_record(commit);
+  renderer.on_record(obs::TraceRecord{seconds(1), 2, 0, 0, 0, 0,
+                                      obs::RecordKind::kGcRoundBegin});
+  EXPECT_EQ(out.str(),
+            "[1s] C3 commit CLC sn=42 ddv=(123456789, 987654321, 555555555, "
+            "111111111)\n"
+            "[1s] GC round 2 start\n");
+}
+
+TEST(TextLog, IdleStreamEvaluatesNoArguments) {
+  obs::EventStream stream;
+  int evaluations = 0;
+  const auto count = [&evaluations]() -> std::uint64_t {
+    ++evaluations;
+    return 1;
+  };
+  HC3I_OBS(stream, obs::RecordKind::kClcRoundBegin, SimTime::zero(), 0, 0,
+           count());
+  EXPECT_EQ(evaluations, 0);  // the guard fails before the arguments
+
+  std::ostringstream out;
+  obs::TextRenderer renderer(out);
+  stream.subscribe(renderer);
+  HC3I_OBS(stream, obs::RecordKind::kClcRoundBegin, seconds(2), 0, 0,
+           count());
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_EQ(out.str(), "[2s] C0 CLC round 1 (timer)\n");
+}
+
+TEST(TextLog, RunsShareNoState) {
+  // Two runs' renderers, fed interleaved: each sink holds only its own
+  // run's lines, so concurrent runs cannot mix or corrupt each other's log.
+  std::ostringstream out_a;
+  std::ostringstream out_b;
+  obs::TextRenderer renderer_a(out_a);
+  obs::TextRenderer renderer_b(out_b);
+  obs::EventStream run_a;
+  obs::EventStream run_b;
+  run_a.subscribe(renderer_a);
+  run_b.subscribe(renderer_b);
+  HC3I_OBS(run_a, obs::RecordKind::kFailure, seconds(1), 1, 5, 0);
+  HC3I_OBS(run_b, obs::RecordKind::kGcRoundBegin, seconds(1), 0, 0, 9);
+  HC3I_OBS(run_a, obs::RecordKind::kRecoveryEnd, seconds(3), 1, 0, 0);
+  EXPECT_EQ(out_a.str(),
+            "[1s] FAILURE node 5 (cluster 1)\n"
+            "[3s] RECOVERY complete (cluster 1)\n");
+  EXPECT_EQ(out_b.str(), "[1s] GC round 9 start\n");
+}
+
+TEST(TextLog, PrefixesSimTimeLikeToString) {
+  std::ostringstream out;
+  obs::TextRenderer renderer(out);
+  const SimTime t = minutes(90) + milliseconds(2500);
+  renderer.on_record(
+      obs::TraceRecord{t, 4, 0, 0, 0, 0, obs::RecordKind::kGcRoundBegin});
+  std::string expected = "[";
+  expected += to_string(t);
+  expected += "] GC round 4 start\n";
+  EXPECT_EQ(out.str(), expected);
 }
 
 TEST(FormatTime, MatchesToString) {

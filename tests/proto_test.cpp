@@ -39,12 +39,6 @@ TEST(Ddv, MergeMaxEntryWise) {
   EXPECT_EQ(a.at(ClusterId{2}), 4u);
 }
 
-TEST(Ddv, ToStringMatchesPaperStyle) {
-  Ddv d(3, ClusterId{0}, 3);
-  d.raise(ClusterId{2}, 4);
-  EXPECT_EQ(d.to_string(), "(3, 0, 4)");
-}
-
 TEST(Ddv, OutOfRangeThrows) {
   Ddv d(2, ClusterId{0}, 1);
   EXPECT_THROW(d.at(ClusterId{5}), CheckFailure);

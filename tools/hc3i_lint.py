@@ -32,13 +32,12 @@ enforces):
                  state in src/ outside the arena/registry allowlist — the
                  sharded runner's no-sharing claim, statically.  Allowlisted
                  sites are tagged ``// lint: static-ok(<reason>)``.
-  trace-guarded  every trace emission site in src/ must go through its
-                 self-guarding macro: HC3I_TRACE checks the level before
-                 formatting, HC3I_OBS null-tests the recorder pointer.  A
-                 raw ``Trace::emit(...)`` formats unconditionally and a raw
-                 ``obs->emit(...)`` crashes when tracing is off; both defeat
-                 the zero-cost-when-off contract.  The implementation homes
-                 (src/obs/, src/util/log.hpp, src/util/log.cpp) are
+  trace-guarded  every protocol event in src/ must be emitted through
+                 HC3I_OBS, which tests the event stream for subscribers
+                 before building a record.  A raw ``events.emit(...)`` or
+                 ``stream->emit(...)`` builds and dispatches the record
+                 unconditionally, defeating the zero-cost-when-off
+                 contract.  The implementation home (src/obs/) is
                  excluded; sanctioned raw calls elsewhere are tagged
                  ``// lint: trace-ok(<reason>)``.
 
@@ -52,14 +51,11 @@ Suppression, two mechanisms, both reason-carrying:
 Empty reasons are rejected.  Under ``--strict``, baseline entries that no
 longer match any finding are rejected too (a stale suppression is a hole).
 
-Engine: uses libclang (python bindings) for declaration-level precision
-when importable, and always falls back to the token/regex engine —
-CI can never silently skip the pass because clang is missing.
-``--engine=regex`` forces the fallback (the self-tests use it so they are
-deterministic across environments).
+Engine: token/regex rules over comment- and string-stripped source; no
+compiler or bindings needed, so every environment runs the same pass.
 
 Usage:
-    python3 tools/hc3i_lint.py [--strict] [--engine=auto|regex]
+    python3 tools/hc3i_lint.py [--strict]
                                [--baseline=tools/lint_baseline.txt]
                                [paths...]
 Default scan set: src/, examples/, bench/ under the repo root (own-static
@@ -82,7 +78,7 @@ RULES = {
     "det-ptrkey": "pointer key / address-derived value",
     "check-pure": "side effect inside HC3I_CHECK/assert argument",
     "own-static": "mutable static/thread_local/global state",
-    "trace-guarded": "unguarded trace emission (use HC3I_TRACE/HC3I_OBS)",
+    "trace-guarded": "unguarded event emission (use HC3I_OBS)",
 }
 
 # Tag suffix "unordered-ok(...)" -> rule id.
@@ -99,8 +95,8 @@ RULE_FOR_TAG = {v: k for k, v in TAG_FOR_RULE.items()}
 # Which top-level dirs each rule scans.  own-static is src-only by design:
 # examples and benches are drivers, their globals (arg parsing, alloc
 # counters) are not simulation state.  trace-guarded is src-only too:
-# examples/benches run at a level they set themselves, so a raw emit there
-# is a driver choice, not a hot-path hazard.
+# examples/benches own the streams they drive, so a raw emit there is a
+# driver choice, not a hot-path hazard.
 RULE_SCOPES = {
     "det-wallclock": ("src", "examples", "bench"),
     "det-unordered": ("src", "examples", "bench"),
@@ -256,7 +252,7 @@ def collect_tags(raw_lines, path):
     return suppress, errors
 
 
-# --- rule engines (regex/token fallback — always available) -----------------
+# --- rules (token/regex over stripped source) -------------------------------
 
 WALLCLOCK_RE = re.compile(
     r"std::chrono::(?:system_clock|steady_clock|high_resolution_clock)"
@@ -303,30 +299,21 @@ MUTATING_CALL_RE = re.compile(
     r"|fetch_\w+|mark_\w+|bump\w*|next\w*)\s*\(")
 CHECK_HEAD_RE = re.compile(r"\b(?:HC3I_CHECK|assert)\s*\(")
 
-# Trace emission: a qualified Trace::emit call, or a member emit(...) call
-# (the only emit-named members in src/ are the trace sinks: hc3i::Trace and
-# obs::Recorder).  The macro bodies themselves live in the excluded homes,
-# so every properly guarded site is invisible to this scan.
-TRACE_EMIT_RES = (
-    re.compile(r"\bTrace\s*::\s*emit\s*\("),
-    re.compile(r"(?:\.|->)\s*emit\s*\("),
-)
-# Implementation homes: the guard macros and the emit definitions live
-# here; a raw call inside them IS the mechanism, not a bypass.
-TRACE_EMIT_HOMES = ("src/util/log.hpp", "src/util/log.cpp")
-TRACE_EMIT_HOME_DIRS = ("src/obs/",)
+# Event emission: a member emit(...) call (the only emit-named member in
+# src/ is obs::EventStream::emit).  The HC3I_OBS body lives in the excluded
+# home, so every properly guarded site is invisible to this scan.
+TRACE_EMIT_RE = re.compile(r"(?:\.|->)\s*emit\s*\(")
+# Implementation home: the guard macro and the emit definitions live here;
+# a raw call inside it IS the mechanism, not a bypass.
+TRACE_EMIT_HOME_DIR = "src/obs/"
 
 
 def scan_trace_guarded(stripped_lines, out, path):
-    if path in TRACE_EMIT_HOMES:
-        return
-    if any(path.startswith(d) for d in TRACE_EMIT_HOME_DIRS):
+    if path.startswith(TRACE_EMIT_HOME_DIR):
         return
     for i, line in enumerate(stripped_lines, start=1):
-        for rex in TRACE_EMIT_RES:
-            if rex.search(line):
-                out.append(Finding("trace-guarded", path, i, line))
-                break
+        if TRACE_EMIT_RE.search(line):
+            out.append(Finding("trace-guarded", path, i, line))
 
 
 def scan_wallclock(stripped_lines, out, path):
@@ -446,56 +433,6 @@ def scan_own_static(stripped_lines, out, path):
         i = j + 1
 
 
-# --- optional libclang engine ----------------------------------------------
-
-def try_clang_index():
-    """Import libclang if present; return a usable Index or None."""
-    try:
-        from clang import cindex  # type: ignore
-        idx = cindex.Index.create()
-        return cindex, idx
-    except Exception:
-        return None
-
-
-def clang_extra_findings(cindex, index, abspath, relpath):
-    """AST pass: unordered-container and mutable-static variable decls.
-
-    Purely additive precision on top of the regex engine (catches aliased
-    or macro-hidden declarations the token pass cannot see); any failure
-    degrades silently to the regex results.
-    """
-    out = []
-    try:
-        tu = index.parse(abspath, args=["-std=c++20", "-Isrc"])
-        for cur in tu.cursor.walk_preorder():
-            try:
-                if cur.location.file is None:
-                    continue
-                if os.path.abspath(cur.location.file.name) != abspath:
-                    continue
-                if cur.kind in (cindex.CursorKind.VAR_DECL,
-                                cindex.CursorKind.FIELD_DECL):
-                    spelling = cur.type.get_canonical().spelling
-                    if "unordered_map" in spelling or \
-                            "unordered_set" in spelling:
-                        out.append(Finding("det-unordered", relpath,
-                                           cur.location.line,
-                                           spelling[:80]))
-                if cur.kind == cindex.CursorKind.VAR_DECL and \
-                        cur.storage_class == cindex.StorageClass.STATIC:
-                    t = cur.type.get_canonical()
-                    if not t.is_const_qualified():
-                        out.append(Finding("own-static", relpath,
-                                           cur.location.line,
-                                           cur.spelling))
-            except Exception:
-                continue
-    except Exception:
-        return []
-    return out
-
-
 # --- baseline ---------------------------------------------------------------
 
 def load_baseline(path):
@@ -552,7 +489,7 @@ def iter_sources(root, paths):
                     yield os.path.join(dirpath, name)
 
 
-def scan_text(relpath, text, engine="regex", clang_ctx=None, abspath=None):
+def scan_text(relpath, text):
     """Scan one file's contents; returns FileScan (pre-suppression applied
     for tags, baseline applied by the caller)."""
     fs = FileScan()
@@ -591,15 +528,6 @@ def scan_text(relpath, text, engine="regex", clang_ctx=None, abspath=None):
     if top in RULE_SCOPES["trace-guarded"]:
         scan_trace_guarded(stripped_lines, findings, relpath)
 
-    if engine == "clang" and clang_ctx is not None and abspath:
-        cindex, index = clang_ctx
-        extra = clang_extra_findings(cindex, index, abspath, relpath)
-        seen = {(f.rule, f.line) for f in findings}
-        findings.extend(f for f in extra
-                        if f.rule in RULE_SCOPES and
-                        top in RULE_SCOPES[f.rule] and
-                        (f.rule, f.line) not in seen)
-
     # Dedup (multiple patterns on one line) and apply tag suppression.
     uniq = {}
     for f in findings:
@@ -616,9 +544,6 @@ def main(argv=None) -> int:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--strict", action="store_true",
                     help="also fail on stale baseline entries")
-    ap.add_argument("--engine", choices=("auto", "regex"), default="auto",
-                    help="auto = libclang precision layer when importable; "
-                         "regex = token fallback only")
     ap.add_argument("--baseline", default=None,
                     help="baseline file (default tools/lint_baseline.txt)")
     ap.add_argument("--list-rules", action="store_true")
@@ -636,9 +561,6 @@ def main(argv=None) -> int:
                                                   "lint_baseline.txt")
     baseline, errors = load_baseline(baseline_path)
 
-    clang_ctx = try_clang_index() if args.engine == "auto" else None
-    engine = "clang" if clang_ctx else "regex"
-
     all_findings = []
     nfiles = 0
     for abspath in iter_sources(root, args.paths):
@@ -650,8 +572,7 @@ def main(argv=None) -> int:
         except OSError as e:
             errors.append(f"{relpath}: unreadable: {e}")
             continue
-        fs = scan_text(relpath, text, engine=engine, clang_ctx=clang_ctx,
-                       abspath=abspath)
+        fs = scan_text(relpath, text)
         errors.extend(fs.errors)
         for f in fs.findings:
             if not f.suppressed_by:
@@ -677,7 +598,7 @@ def main(argv=None) -> int:
 
     suppressed = len(all_findings) - len(active)
     failed = bool(active or errors or (args.strict and stale))
-    print(f"hc3i-lint[{engine}]: {nfiles} files, "
+    print(f"hc3i-lint: {nfiles} files, "
           f"{len(active)} finding(s), {suppressed} suppressed "
           f"({len(baseline)} baseline entr{'y' if len(baseline) == 1 else 'ies'}), "
           f"{len(errors)} error(s){', FAILED' if failed else ''}")
