@@ -293,22 +293,16 @@ struct FaultStats {
 
 /// The scale-out kernel under a fixed fault campaign: same topology/traffic
 /// as scale_fed, plus scripted kill + burst + MTBF stream + repeat offender
-/// + commit-targeted trigger.  The reference campaign runs in legacy
-/// serialized mode (comparable with earlier bench history); `overlap` runs
-/// the overlapping-burst campaign with concurrent per-cluster recoveries.
+/// + commit-targeted trigger; `overlap` runs the overlapping-burst campaign
+/// instead, whose bursts recover concurrently in disjoint clusters.
 /// `out` accumulates the recovery-cost counters next to the rate.
 KernelResult bench_scale_fed_faulty(std::uint64_t seed, std::size_t clusters,
                                     bool overlap, FaultStats* out) {
   driver::RunOptions opts;
   opts.spec = config::scale_federation_spec(clusters, 100, minutes(10));
-  if (overlap) {
-    opts.campaign =
-        fault::reference_overlap_campaign(clusters, 100, minutes(10));
-  } else {
-    opts.campaign =
-        fault::reference_scale_campaign(clusters, 100, minutes(10));
-    opts.campaign.serialize_faults = true;
-  }
+  opts.campaign =
+      overlap ? fault::reference_overlap_campaign(clusters, 100, minutes(10))
+              : fault::reference_scale_campaign(clusters, 100, minutes(10));
   opts.seed = seed;
   const double t0 = now_sec();
   const std::uint64_t allocs0 = g_allocs;

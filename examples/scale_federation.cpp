@@ -17,10 +17,9 @@
 //                                              #   diffs it against
 //                                              #   bench/golden_counters_scale.txt)
 //   ./scale_federation --faulty [--sweep=...]  # same scenario under the fixed
-//                                              #   reference fault campaign in
-//                                              #   legacy serialized mode; with
-//                                              #   --dump-counters CI diffs it
-//                                              #   against
+//                                              #   reference fault campaign;
+//                                              #   with --dump-counters CI
+//                                              #   diffs it against
 //                                              #   bench/golden_counters_scale_faulty.txt
 //   ./scale_federation --overlap               # overlapping-burst campaign:
 //                                              #   concurrent per-cluster
@@ -65,29 +64,6 @@ namespace {
 
 using util::now_sec;
 
-/// Parse "2,4,6" into cluster counts; returns false (with *out untouched
-/// beyond valid prefixes) on a non-numeric or zero token.
-bool parse_sweep(const std::string& s, std::vector<std::size_t>* out) {
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) {
-      std::size_t value = 0;
-      for (const char ch : tok) {
-        if (ch < '0' || ch > '9') return false;
-        value = value * 10 + static_cast<std::size_t>(ch - '0');
-      }
-      if (value == 0) return false;
-      out->push_back(value);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return true;
-}
-
 /// Which fault plan (if any) rides on the scale scenario.
 enum class FaultMode { kNone, kFaulty, kOverlap };
 
@@ -99,9 +75,6 @@ void apply_fault_mode(driver::RunOptions* opts, FaultMode mode,
       break;
     case FaultMode::kFaulty:
       opts->campaign = fault::reference_scale_campaign(clusters, nodes, total);
-      // The faulty golden predates concurrent recoveries; pin the legacy
-      // one-fault-at-a-time mode so the dump stays byte-identical.
-      opts->campaign.serialize_faults = true;
       break;
     case FaultMode::kOverlap:
       opts->campaign =
@@ -247,10 +220,15 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::size_t> sweep;
-  if (!parse_sweep(flags.get("sweep", ""), &sweep)) {
-    std::fprintf(stderr, "--sweep wants a comma list of cluster counts, "
-                         "e.g. --sweep=2,4,6,8,10\n");
-    return 2;
+  for (const std::string& tok : split_list(flags.get("sweep", ""))) {
+    const auto v = parse_uint(tok);
+    if (!v || *v < 1) {
+      std::fprintf(stderr, "--sweep wants a comma list of cluster counts "
+                           ">= 1, e.g. --sweep=2,4,6,8,10; got '%s'\n",
+                   tok.c_str());
+      return 2;
+    }
+    sweep.push_back(static_cast<std::size_t>(*v));
   }
   if (sweep.empty()) {
     sweep.push_back(static_cast<std::size_t>(flags.get_int("clusters", 10)));
@@ -260,7 +238,7 @@ int main(int argc, char** argv) {
               "ring traffic, CLC timer 5min, GC 10min%s%s\n\n",
               nodes, to_string(total).c_str(),
               mode == FaultMode::kFaulty
-                  ? ", reference fault campaign (serialized)"
+                  ? ", reference fault campaign"
                   : mode == FaultMode::kOverlap
                         ? ", overlap fault campaign (concurrent recoveries)"
                         : "",

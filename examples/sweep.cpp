@@ -29,9 +29,9 @@
 //                                                  #   are disjoint per case so
 //                                                  #   shards never collide
 //
-// --campaigns kinds: none (failure-free), faulty (the reference campaign in
-// legacy serialized mode, as the --faulty golden), overlap (concurrent
-// per-cluster recoveries; needs >= 4 clusters).
+// --campaigns kinds: none (failure-free), faulty (the reference campaign, as
+// the scale_federation --faulty golden), overlap (the overlapping-burst
+// campaign; needs >= 4 clusters).
 //
 // Exit status: 0 all runs clean, 1 any violation/mismatch, 2 usage error.
 
@@ -50,21 +50,6 @@
 using namespace hc3i;
 
 namespace {
-
-/// Split "a,b,c" into non-empty tokens.
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(tok);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 /// Run a sweep twice and byte-compare each case's counter dump, printing one
 /// line per case under `label`.  Returns the number of mismatching cases.

@@ -18,17 +18,11 @@ std::shared_ptr<const fault::Campaign> materialize(
   switch (point.kind) {
     case CampaignPoint::Kind::kNone:
       return nullptr;
-    case CampaignPoint::Kind::kReference: {
-      auto plan = std::make_shared<fault::Campaign>(
+    case CampaignPoint::Kind::kReference:
+      return std::make_shared<fault::Campaign>(
           fault::reference_scale_campaign(spec.topology.cluster_count(),
                                           spec.topology.clusters[0].nodes,
                                           spec.application.total_time));
-      // The reference campaign's golden history predates concurrent
-      // recoveries; it always runs in legacy serialized mode (the same
-      // pinning scale_federation --faulty applies).
-      plan->serialize_faults = true;
-      return plan;
-    }
     case CampaignPoint::Kind::kOverlap:
       return std::make_shared<fault::Campaign>(
           fault::reference_overlap_campaign(spec.topology.cluster_count(),

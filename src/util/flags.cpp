@@ -1,5 +1,7 @@
 #include "util/flags.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 #include "util/quantity.hpp"
 
@@ -58,6 +60,20 @@ std::vector<std::string> Flags::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
+  return out;
+}
+
+std::vector<std::string> split_list(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const std::size_t comma = s.find(',', pos);
+    std::string tok =
+        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!tok.empty()) out.push_back(std::move(tok));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
   return out;
 }
 

@@ -43,4 +43,7 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Split a list-valued flag ("a,b,c") into its non-empty tokens.
+std::vector<std::string> split_list(const std::string& s);
+
 }  // namespace hc3i

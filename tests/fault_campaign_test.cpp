@@ -50,7 +50,6 @@ TEST(Campaign, ScriptedKillViaCampaignInjects) {
 
 TEST(Campaign, BurstSerialisesRackLoss) {
   auto opts = small_opts(2, 4);
-  opts.campaign.serialize_faults = true;  // the legacy one-fault-at-a-time mode
   fault::BurstSpec burst;
   burst.cluster = ClusterId{1};
   burst.kills = 3;
@@ -69,7 +68,7 @@ TEST(Campaign, BurstSerialisesRackLoss) {
     EXPECT_STREQ(inc.source, "burst");
     EXPECT_EQ(inc.cluster, ClusterId{1});
     EXPECT_TRUE(inc.recovery_complete);
-    // ...one fault at a time: windows are disjoint and ordered.
+    // ...one fault per cluster at a time: windows are disjoint and ordered.
     EXPECT_GT(inc.victim.v, prev_victim);
     prev_victim = inc.victim.v;
   }
@@ -430,7 +429,6 @@ TEST(Campaign, ReportRendersRecoveryCountersAndIncidentTable) {
 
 fault::Campaign full_campaign() {
   fault::Campaign plan;
-  plan.serialize_faults = true;  // round-trips through [options]
   plan.kills.push_back(fault::KillSpec{minutes(6), NodeId{5}});
   plan.kills.push_back(fault::KillSpec{minutes(9), NodeId{0}});
   fault::StreamSpec fed_stream;
@@ -493,6 +491,10 @@ TEST(CampaignConfig, RejectsBadInput) {
   const config::TopologySpec topo = config::small_test_spec(2, 4).topology;
   // Unknown section.
   EXPECT_THROW(config::parse_campaign("[explode]\nat = 1min\n", topo, "<t>"),
+               config::ParseError);
+  // There is one fault model, so no campaign options section either.
+  EXPECT_THROW(config::parse_campaign("[options]\nserialize_faults = true\n",
+                                      topo, "<t>"),
                config::ParseError);
   // Unknown phase name.
   EXPECT_THROW(config::parse_campaign(

@@ -426,7 +426,6 @@ driver::RunOptions phase_trigger_opts() {
   opts.spec.application.total_time = minutes(40);
   opts.campaign = fault::reference_scale_campaign(
       2, 4, opts.spec.application.total_time);
-  opts.campaign.serialize_faults = true;
   return opts;
 }
 

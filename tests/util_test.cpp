@@ -260,6 +260,7 @@ TEST(ParseScalars, DoubleAndUint) {
   EXPECT_FALSE(parse_double("two").has_value());
   EXPECT_FALSE(parse_uint("-3").has_value());
   EXPECT_FALSE(parse_uint("3.5").has_value());
+  EXPECT_FALSE(parse_uint("18446744073709551616").has_value());  // 2^64
 }
 
 TEST(FormatBytes, PicksUnit) {
@@ -295,6 +296,13 @@ TEST(Flags, BadNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const Flags f = Flags::parse(2, argv);
   EXPECT_THROW(f.get_int("n", 0), CheckFailure);
+}
+
+TEST(Flags, SplitListDropsEmptyTokens) {
+  EXPECT_EQ(split_list("2,4,,6,"), (std::vector<std::string>{"2", "4", "6"}));
+  EXPECT_EQ(split_list("one"), (std::vector<std::string>{"one"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(",,").empty());
 }
 
 // ---------------------------------------------------------------------------
