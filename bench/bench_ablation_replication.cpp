@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     for (auto& tm : opts.spec.timers.clusters) tm.clc_period = minutes(20);
     opts.hc3i.replication = degree;
     opts.seed = seed;
-    opts.scripted_failures.push_back({minutes(70), NodeId{3}});
+    opts.campaign.kills.push_back({minutes(70), NodeId{3}});
     const auto r = driver::run_simulation(opts);
     t.row()
         .cell(static_cast<std::uint64_t>(degree))

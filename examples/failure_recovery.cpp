@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(10);
   opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   // Fault in cluster 1 mid-run — the paper's snapshot 1 -> 2 transition.
-  opts.scripted_failures.push_back({minutes(35), NodeId{5}});
+  opts.campaign.kills.push_back({minutes(35), NodeId{5}});
 
   std::printf("Simulating 1 h of a 3-cluster code-coupling run; node 5\n"
               "(cluster 1) fails at t=35min. Protocol trace follows.\n\n");

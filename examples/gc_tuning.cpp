@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     opts.seed = seed;
     // Fault near the end of the run: every retained-CLC decision the GC
     // made must still admit a full recovery line.
-    opts.scripted_failures.push_back({hours(9) + minutes(30), NodeId{17}});
+    opts.campaign.kills.push_back({hours(9) + minutes(30), NodeId{17}});
     const auto r = driver::run_simulation(opts);
     std::printf("%-10s %-10llu %-14llu %-16s %-18s %llu / %llu\n",
                 period_min == 0 ? "off" : (std::to_string(period_min) + "min").c_str(),

@@ -11,7 +11,8 @@
 //
 // --campaign loads a declarative fault plan (see config/parser.hpp for the
 // file format); the run report then includes the per-incident recovery
-// telemetry table.
+// telemetry table.  A plan whose same-cluster kill queue cannot drain
+// before application.total_time (fault::check_queue_bounds) exits 2.
 //
 // --trace-out writes the structured protocol trace as Chrome/Perfetto
 // trace_event JSON (open in https://ui.perfetto.dev); --metrics-out writes
@@ -33,6 +34,7 @@
 #include "config/parser.hpp"
 #include "driver/report.hpp"
 #include "driver/run.hpp"
+#include "fault/campaign.hpp"
 #include "obs/export.hpp"
 #include "util/flags.hpp"
 #include "util/quantity.hpp"
@@ -40,16 +42,6 @@
 using namespace hc3i;
 
 namespace {
-
-driver::ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "hc3i") return driver::ProtocolKind::kHc3i;
-  if (name == "independent") return driver::ProtocolKind::kIndependent;
-  if (name == "global") return driver::ProtocolKind::kCoordinatedGlobal;
-  if (name == "hier") return driver::ProtocolKind::kHierarchicalCoordinated;
-  if (name == "pessimistic") return driver::ProtocolKind::kPessimisticLog;
-  HC3I_CHECK(false, "unknown --protocol: " + name);
-  return driver::ProtocolKind::kHc3i;
-}
 
 /// --trace level (paper §5.1): "stats" prints only the end-of-run report,
 /// "protocol" adds the time-stamped protocol trace on stderr.
@@ -83,12 +75,19 @@ int main(int argc, char** argv) {
                                       flags.positional()[1],
                                       flags.positional()[2]);
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    opts.protocol = parse_protocol(flags.get("protocol", "hc3i"));
+    const std::string protocol = flags.get("protocol", "hc3i");
+    const auto kind = driver::parse_protocol(protocol);
+    HC3I_CHECK(kind.has_value(), "unknown --protocol: " + protocol);
+    opts.protocol = *kind;
     opts.auto_failures = flags.get_bool("failures", false);
     const std::string campaign_path = flags.get("campaign", "");
     if (!campaign_path.empty()) {
       opts.campaign = config::parse_campaign(
           config::read_file(campaign_path), opts.spec.topology, campaign_path);
+      // Reject a plan whose same-cluster queues cannot drain before the
+      // horizon: those kills would be dropped at the quiesce bound.
+      fault::check_queue_bounds(opts.campaign, opts.spec,
+                                opts.spec.application.total_time);
     }
     opts.validate = false;  // report violations instead of throwing
 

@@ -9,24 +9,10 @@
 
 #include "config/presets.hpp"
 #include "driver/run.hpp"
+#include "util/check.hpp"
 #include "util/flags.hpp"
 
 using namespace hc3i;
-
-namespace {
-
-driver::ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "hc3i") return driver::ProtocolKind::kHc3i;
-  if (name == "independent") return driver::ProtocolKind::kIndependent;
-  if (name == "global") return driver::ProtocolKind::kCoordinatedGlobal;
-  if (name == "hier") return driver::ProtocolKind::kHierarchicalCoordinated;
-  if (name == "pessimistic") return driver::ProtocolKind::kPessimisticLog;
-  HC3I_CHECK(false, "unknown --protocol: " + name +
-                        " (hc3i|independent|global|hier|pessimistic)");
-  return driver::ProtocolKind::kHc3i;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
@@ -35,7 +21,12 @@ int main(int argc, char** argv) {
   opts.spec.application.total_time = hours(flags.get_int("hours", 2));
   opts.spec.topology.mtbf = minutes(flags.get_int("mtbf-min", 40));
   for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(20);
-  opts.protocol = parse_protocol(flags.get("protocol", "hc3i"));
+  const std::string protocol = flags.get("protocol", "hc3i");
+  const auto kind = driver::parse_protocol(protocol);
+  HC3I_CHECK(kind.has_value(),
+             "unknown --protocol: " + protocol +
+                 " (hc3i|independent|global|hier|pessimistic)");
+  opts.protocol = *kind;
   opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   opts.auto_failures = true;
 

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
   // Inject one fail-stop node failure mid-run (paper §2.1 failure model).
   const auto fail_at = parse_duration(flags.get("fail-at", "12min"));
   if (fail_at && !fail_at->is_infinite()) {
-    opts.scripted_failures.push_back(
-        driver::ScriptedFailure{*fail_at, NodeId{nodes / 2}});
+    opts.campaign.kills.push_back(fault::KillSpec{*fail_at, NodeId{nodes / 2}});
   }
 
   const driver::RunResult result = driver::run_simulation(opts);

@@ -1,29 +1,33 @@
-// Scale-out federation scenario: 10 clusters x 100 nodes (configurable),
-// with a sweep axis over the cluster count.
+// Scale-out federation scenario: 10 clusters x 100 nodes (configurable).
 //
 // The paper's hierarchy exists so the protocol scales past one cluster, but
 // its evaluation stops at 2-3 clusters.  This scenario opens the
 // large-federation regime: ring-structured traffic over `--clusters`
-// clusters of `--nodes` nodes with CLC timers and garbage collection
-// enabled, reporting what actually grows with the cluster count — events,
-// active census pairs, retained CLCs, GC response bytes (and how much the
-// delta-compressed encoding saved).  See docs/scaling.md for the cost model
-// each column checks.
+// clusters of `--nodes` nodes with CLC timers (5 min) and garbage
+// collection (10 min) enabled.  It runs exactly one case, built with the
+// same batch:: axis-point builders a sweep uses, and prints that case's
+// row of the sweep table: events, active census pairs, retained-CLC
+// high-water, GC response bytes the delta-compressed encoding saved.  The
+// cluster-count axis is a sweep (see docs/scaling.md):
+//
+//   ./sweep --clusters=2,4,6,8,10 --minutes=30 --seeds=1 --campaigns=none,faulty
 //
 //   ./scale_federation                         # one 10x100 run
 //   ./scale_federation --clusters=6 --nodes=50
-//   ./scale_federation --sweep=2,4,6,8,10      # the scaling story table
 //   ./scale_federation --dump-counters         # fixed-seed repro dump (CI
 //                                              #   diffs it against
 //                                              #   bench/golden_counters_scale.txt)
-//   ./scale_federation --faulty [--sweep=...]  # same scenario under the fixed
-//                                              #   reference fault campaign;
-//                                              #   with --dump-counters CI
-//                                              #   diffs it against
+//   ./scale_federation --faulty                # same scenario under the fixed
+//                                              #   reference fault campaign:
+//                                              #   prints the run report with
+//                                              #   its per-incident table; with
+//                                              #   --dump-counters CI diffs it
+//                                              #   against
 //                                              #   bench/golden_counters_scale_faulty.txt
 //   ./scale_federation --overlap               # overlapping-burst campaign:
 //                                              #   concurrent per-cluster
-//                                              #   recoveries; with
+//                                              #   recoveries (conc column +
+//                                              #   residual row); with
 //                                              #   --dump-counters CI diffs it
 //                                              #   against
 //                                              #   bench/golden_counters_scale_overlap.txt
@@ -42,16 +46,18 @@
 //                                              #   (--metrics-interval, default
 //                                              #   30s); byte-reproducible per
 //                                              #   seed — CI byte-compares two
-//                                              #   passes.  Sweep rows get a
-//                                              #   ".c<N>" path suffix.
+//                                              #   passes.
+//
+// Exit status: 0 clean run, 1 consistency violations, 2 usage error.
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "config/presets.hpp"
+#include "batch/report.hpp"
+#include "batch/runner.hpp"
+#include "batch/sweep.hpp"
+#include "driver/report.hpp"
 #include "driver/run.hpp"
-#include "fault/campaign.hpp"
 #include "obs/export.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
@@ -60,152 +66,59 @@
 
 using namespace hc3i;
 
-namespace {
-
-using util::now_sec;
-
-/// Which fault plan (if any) rides on the scale scenario.
-enum class FaultMode { kNone, kFaulty, kOverlap };
-
-void apply_fault_mode(driver::RunOptions* opts, FaultMode mode,
-                      std::size_t clusters, std::uint32_t nodes,
-                      SimTime total) {
-  switch (mode) {
-    case FaultMode::kNone:
-      break;
-    case FaultMode::kFaulty:
-      opts->campaign = fault::reference_scale_campaign(clusters, nodes, total);
-      break;
-    case FaultMode::kOverlap:
-      opts->campaign =
-          fault::reference_overlap_campaign(clusters, nodes, total);
-      break;
-  }
-}
-
-/// The storage-charged variant: a striped-remote checkpoint store with the
-/// default cost model (5 ms latency, 100 MB/s per stripe, width 4) and
-/// incremental dirty-range capture on every cluster.
-void apply_storage(config::RunSpec* spec) {
-  config::StorageSpec storage;
-  storage.kind = config::StorageSpec::Kind::kStripedRemote;
-  for (config::ClusterSpec& c : spec->topology.clusters) c.storage = storage;
-}
-
-struct RowStats {
-  std::uint64_t events;
-  double wall_sec;
-  std::size_t census_pairs;
-  std::uint64_t store_max_clcs;
-  std::uint64_t gc_saved_bytes;
-};
-
-/// Observability outputs for one run; paths empty = off.
-struct ObsOutputs {
-  std::string trace_out;
-  std::string metrics_out;
-  SimTime metrics_interval{SimTime::zero()};
-};
-
-/// Per-sweep-row output path: verbatim for a single row, suffixed with the
-/// cluster count otherwise so rows never clobber each other.
-std::string row_path(const std::string& base, std::size_t clusters,
-                     bool multi) {
-  return multi ? base + ".c" + std::to_string(clusters) : base;
-}
-
-RowStats run_one(std::size_t clusters, std::uint32_t nodes, SimTime total,
-                 std::uint64_t seed, FaultMode mode, bool storage,
-                 const ObsOutputs& obs_out, bool multi_row) {
-  driver::RunOptions opts;
-  opts.spec = config::scale_federation_spec(clusters, nodes, total);
-  if (storage) apply_storage(&opts.spec);
-  apply_fault_mode(&opts, mode, clusters, nodes, total);
-  opts.seed = seed;
-  opts.trace = !obs_out.trace_out.empty();
-  opts.metrics_interval = obs_out.metrics_interval;
-  const double t0 = now_sec();
-  const driver::RunResult result = driver::run_simulation(opts);
-  if (result.obs != nullptr) {
-    if (!obs_out.trace_out.empty()) {
-      const std::string path = row_path(obs_out.trace_out, clusters, multi_row);
-      HC3I_CHECK(obs::write_text_file(path, obs::trace_json(*result.obs)),
-                 "cannot write " + path);
-    }
-    if (!obs_out.metrics_out.empty()) {
-      const std::string path =
-          row_path(obs_out.metrics_out, clusters, multi_row);
-      HC3I_CHECK(obs::write_text_file(path, obs::metrics_tsv(*result.obs)),
-                 "cannot write " + path);
-    }
-  }
-  RowStats row{};
-  row.events = result.events_executed;
-  row.wall_sec = now_sec() - t0;
-  for (const std::string& name : result.registry.counter_names()) {
-    if (name.rfind("net.app.pair.", 0) == 0) ++row.census_pairs;
-    if (name.rfind("store.max_clcs.", 0) == 0) {
-      const std::uint64_t v = result.counter(name);
-      if (v > row.store_max_clcs) row.store_max_clcs = v;
-    }
-    if (name.rfind("gc.resp_bytes_saved.", 0) == 0) {
-      row.gc_saved_bytes += result.counter(name);
-    }
-  }
-  return row;
-}
-
-void dump_counters(std::uint32_t nodes, FaultMode mode, bool storage,
-                   std::uint64_t seed) {
-  driver::RunOptions opts;
-  opts.spec = config::scale_federation_spec(10, nodes, minutes(30));
-  if (storage) apply_storage(&opts.spec);
-  apply_fault_mode(&opts, mode, 10, nodes, minutes(30));
-  opts.seed = seed;
-  const driver::RunResult result = driver::run_simulation(opts);
-  std::fputs(result.registry.dump().c_str(), stdout);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   for (const std::string& name : flags.names()) {
     if (name != "clusters" && name != "nodes" && name != "seed" &&
-        name != "minutes" && name != "sweep" && name != "dump-counters" &&
-        name != "faulty" && name != "overlap" && name != "storage" &&
-        name != "trace-out" && name != "metrics-out" &&
-        name != "metrics-interval") {
+        name != "minutes" && name != "dump-counters" && name != "faulty" &&
+        name != "overlap" && name != "storage" && name != "trace-out" &&
+        name != "metrics-out" && name != "metrics-interval") {
       std::fprintf(stderr,
                    "unknown flag --%s (known: --clusters --nodes --seed "
-                   "--minutes --sweep --dump-counters --faulty --overlap "
-                   "--storage --trace-out --metrics-out "
-                   "--metrics-interval)\n",
+                   "--minutes --dump-counters --faulty --overlap --storage "
+                   "--trace-out --metrics-out --metrics-interval)\n",
                    name.c_str());
       return 2;
     }
   }
-  const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 100));
   const bool faulty = flags.get_bool("faulty", false);
   const bool overlap = flags.get_bool("overlap", false);
   if (faulty && overlap) {
     std::fprintf(stderr, "--faulty and --overlap are mutually exclusive\n");
     return 2;
   }
-  const FaultMode mode = faulty ? FaultMode::kFaulty
-                        : overlap ? FaultMode::kOverlap
-                                  : FaultMode::kNone;
-  const bool storage = flags.get_bool("storage", false);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  if (flags.get_bool("dump-counters", false)) {
-    dump_counters(nodes, mode, storage, seed);
-    return 0;
-  }
-  const SimTime total = minutes(flags.get_int("minutes", 30));
 
-  ObsOutputs obs_out;
-  obs_out.trace_out = flags.get("trace-out", "");
-  obs_out.metrics_out = flags.get("metrics-out", "");
+  // The one case: a one-cell sweep, so this run and a sweep's cell of the
+  // same (topology, campaign, storage, seed) are the same RunOptions.
+  batch::SweepSpec sweep;
+  sweep.topologies = {batch::scale_topology(
+      static_cast<std::size_t>(flags.get_int("clusters", 10)),
+      static_cast<std::uint32_t>(flags.get_int("nodes", 100)),
+      minutes(flags.get_int("minutes", 30)))};
+  sweep.campaigns = {faulty    ? batch::reference_campaign()
+                     : overlap ? batch::overlap_campaign()
+                               : batch::no_campaign()};
+  if (flags.get_bool("storage", false)) {
+    // Striped-remote store with the default cost model (5 ms latency,
+    // 100 MB/s per stripe, width 4) and incremental dirty-range capture.
+    config::StorageSpec striped;
+    striped.kind = config::StorageSpec::Kind::kStripedRemote;
+    sweep.storage = {batch::storage_point("striped", striped)};
+  }
+  sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed", 1))};
+
+  batch::RunCase rc;
+  try {
+    rc = batch::expand(sweep)[0];
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "invalid scenario: %s\n", e.what());
+    return 2;
+  }
+  driver::RunOptions opts = rc.options();
+  opts.validate = false;  // report violations through the exit status
+
+  const std::string trace_out = flags.get("trace-out", "");
+  const std::string metrics_out = flags.get("metrics-out", "");
   const std::string interval_text = flags.get("metrics-interval", "");
   if (!interval_text.empty()) {
     const auto parsed = parse_duration(interval_text);
@@ -214,54 +127,44 @@ int main(int argc, char** argv) {
                    interval_text.c_str());
       return 2;
     }
-    obs_out.metrics_interval = *parsed;
-  } else if (!obs_out.metrics_out.empty()) {
-    obs_out.metrics_interval = seconds(30);
+    opts.metrics_interval = *parsed;
+  } else if (!metrics_out.empty()) {
+    opts.metrics_interval = seconds(30);
   }
+  opts.trace = !trace_out.empty();
 
-  std::vector<std::size_t> sweep;
-  for (const std::string& tok : split_list(flags.get("sweep", ""))) {
-    const auto v = parse_uint(tok);
-    if (!v || *v < 1) {
-      std::fprintf(stderr, "--sweep wants a comma list of cluster counts "
-                           ">= 1, e.g. --sweep=2,4,6,8,10; got '%s'\n",
-                   tok.c_str());
-      return 2;
+  const double t0 = util::now_sec();
+  const driver::RunResult result = driver::run_simulation(opts);
+  const int status = result.violations.empty() ? 0 : 1;
+  if (flags.get_bool("dump-counters", false)) {
+    std::fputs(result.registry.dump().c_str(), stdout);
+    return status;
+  }
+  if (result.obs != nullptr) {
+    if (!trace_out.empty()) {
+      HC3I_CHECK(obs::write_text_file(trace_out, obs::trace_json(*result.obs)),
+                 "cannot write " + trace_out);
     }
-    sweep.push_back(static_cast<std::size_t>(*v));
-  }
-  if (sweep.empty()) {
-    sweep.push_back(static_cast<std::size_t>(flags.get_int("clusters", 10)));
+    if (!metrics_out.empty()) {
+      HC3I_CHECK(
+          obs::write_text_file(metrics_out, obs::metrics_tsv(*result.obs)),
+          "cannot write " + metrics_out);
+    }
   }
 
-  std::printf("scale-out federation — %u nodes/cluster, %s simulated, "
-              "ring traffic, CLC timer 5min, GC 10min%s%s\n\n",
-              nodes, to_string(total).c_str(),
-              mode == FaultMode::kFaulty
-                  ? ", reference fault campaign"
-                  : mode == FaultMode::kOverlap
-                        ? ", overlap fault campaign (concurrent recoveries)"
-                        : "",
-              storage ? ", striped-remote checkpoint store" : "");
-  std::printf("%9s %7s %10s %9s %12s %10s %12s %12s\n", "clusters", "nodes",
-              "events", "wall_s", "events/s", "pairs", "max_clcs",
-              "gc_saved_B");
-  for (const std::size_t c : sweep) {
-    const RowStats row = run_one(c, nodes, total, seed, mode, storage, obs_out,
-                                 sweep.size() > 1);
-    std::printf("%9zu %7u %10llu %9.2f %12.0f %10zu %12llu %12llu\n", c,
-                c * nodes, static_cast<unsigned long long>(row.events),
-                row.wall_sec,
-                row.wall_sec > 0 ? row.events / row.wall_sec : 0.0,
-                row.census_pairs,
-                static_cast<unsigned long long>(row.store_max_clcs),
-                static_cast<unsigned long long>(row.gc_saved_bytes));
+  if (!opts.campaign.empty()) {
+    // Under a fault campaign the run report (with its per-incident recovery
+    // telemetry table) is the interesting output; the table row follows.
+    std::fputs(driver::render_report(result,
+                                     opts.spec.topology.cluster_count())
+                   .c_str(),
+               stdout);
+    std::fputs("\n", stdout);
   }
-  std::printf(
-      "\ncolumns: pairs = distinct (src,dst) cluster pairs that carried "
-      "application traffic\n         (ring workload: ~3 per cluster — the "
-      "sparse census footprint);\n         max_clcs = retained-CLC "
-      "high-water across clusters (GC keeps it flat);\n         gc_saved_B "
-      "= GC response bytes avoided by the delta-compressed encoding.\n");
-  return 0;
+  batch::BatchReport report;
+  report.cases = {batch::summarize(rc, result)};
+  report.cases[0].wall_sec = util::now_sec() - t0;
+  report.wall_sec = report.cases[0].wall_sec;
+  std::fputs(report.render_table().c_str(), stdout);
+  return status;
 }

@@ -1,4 +1,4 @@
-// Sharded sweep driver: parameter sweeps as a service.
+// Sharded sweep driver: the one way to run a grid.
 //
 // Expands a topology x campaign x seed grid and shards the runs across
 // worker threads, each worker owning its full simulation context (payload
@@ -9,6 +9,14 @@
 //
 //   ./sweep                                        # 2,5,10-cluster grid x 3 seeds
 //   ./sweep --clusters=2,5,10 --campaigns=none,faulty --seeds=1..5
+//   ./sweep --clusters=2,4,6,8,10 --minutes=30 --seeds=1 --campaigns=none,faulty
+//                                                  # the scaling table: events,
+//                                                  #   census pairs, retained
+//                                                  #   CLCs, GC bytes saved
+//   ./sweep --clusters=2,5,10 --minutes=20 --seeds=1 \
+//           --campaigns=mtbf:10min,mtbf:5min,mtbf:2min
+//                                                  # recovery cost vs fault
+//                                                  #   rate x cluster count
 //   ./sweep --nodes=50 --minutes=10 --threads=4 --json
 //   ./sweep --config=my_sweep.ini                  # the sweep config kind
 //                                                  #   (batch::parse_sweep)
@@ -29,14 +37,21 @@
 //                                                  #   are disjoint per case so
 //                                                  #   shards never collide
 //
+// --threads, --obs-dir and --metrics-interval apply to every grid, the named
+// --grid ones included.
+//
 // --campaigns kinds: none (failure-free), faulty (the reference campaign, as
 // the scale_federation --faulty golden), overlap (the overlapping-burst
-// campaign; needs >= 4 clusters).
+// campaign; needs >= 4 clusters), mtbf:<dur> (one federation-wide Poisson
+// failure stream of that MTBF).
 //
 // Exit status: 0 all runs clean, 1 any violation/mismatch, 2 usage error.
 
 #include <cstdio>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "batch/runner.hpp"
@@ -81,9 +96,7 @@ std::size_t compare_two_passes(const batch::Runner& runner,
 /// second, smaller cell repeats the check with the storage axis engaged so
 /// capture stalls and chain reads are covered by the same bit-for-bit
 /// guarantee.
-int run_determinism_grid(std::size_t threads) {
-  batch::RunnerOptions opts;
-  opts.threads = threads;
+int run_determinism_grid(batch::RunnerOptions opts) {
   opts.keep_dumps = true;
   const batch::Runner runner(opts);
 
@@ -127,7 +140,7 @@ int run_determinism_grid(std::size_t threads) {
 /// is no interval to optimise (see docs/scaling.md).  The baseline
 /// checkpoints purely on the timer, which is the regime the classic
 /// interval analysis assumes.
-int run_storage_grid(std::size_t threads) {
+int run_storage_grid(const batch::RunnerOptions& opts) {
   struct BwPoint { const char* tag; double bytes_per_sec; };
   struct IvPoint { const char* tag; SimTime period; };
   static const BwPoint kBandwidths[] = {{"50M", 50e6}, {"200M", 200e6}};
@@ -157,8 +170,6 @@ int run_storage_grid(std::size_t threads) {
     }
   }
 
-  batch::RunnerOptions opts;
-  opts.threads = threads;
   const batch::Runner runner(opts);
   std::printf("storage grid: %zu runs (4x25 faulty, independent protocol, "
               "64 MiB state/node)\n",
@@ -169,63 +180,57 @@ int run_storage_grid(std::size_t threads) {
     return 1;
   }
 
-  // Aggregate per storage point (seeds summed), keyed by the point label.
-  struct Cell {
-    std::uint64_t ckpt_bytes{0};
-    double stall_s{0.0}, read_s{0.0}, lost_work_s{0.0};
-    double total_s() const { return stall_s + read_s + lost_work_s; }
+  // One topology and one campaign, so the cells are the storage axis in
+  // grid order: (backend, bandwidth) groups of one cell per interval.
+  const std::vector<batch::CellResult> cells = report.cells();
+  HC3I_CHECK(cells.size() == sweep.storage.size(),
+             "storage grid: expected one cell per storage point");
+  const auto total_s = [](const batch::CaseResult& t) {
+    return static_cast<double>(t.ckpt_stall_us) * 1e-6 +
+           static_cast<double>(t.recovery_read_us) * 1e-6 + t.lost_work_s;
   };
-  std::vector<std::pair<std::string, Cell>> cells;
-  for (const batch::CaseResult& c : report.cases) {
-    Cell* cell = nullptr;
-    for (auto& [name, v] : cells) {
-      if (name == c.storage) cell = &v;
-    }
-    if (!cell) {
-      cells.emplace_back(c.storage, Cell{});
-      cell = &cells.back().second;
-    }
-    cell->ckpt_bytes += c.ckpt_bytes;
-    cell->stall_s += static_cast<double>(c.ckpt_stall_us) * 1e-6;
-    cell->read_s += static_cast<double>(c.recovery_read_us) * 1e-6;
-    cell->lost_work_s += c.lost_work_s;
-  }
-  const auto find_cell = [&cells](const std::string& name) -> const Cell& {
-    const Cell* found = nullptr;
-    for (const auto& [n, v] : cells) {
-      if (n == name) found = &v;
-    }
-    HC3I_CHECK(found != nullptr, "storage grid cell missing from report");
-    return *found;
-  };
-
   std::printf("\n%-15s %-7s %-9s %10s %9s %8s %13s %9s\n", "backend",
               "bw", "interval", "ckpt GiB", "stall s", "read s",
               "lost work s", "total s");
+  std::size_t next = 0;
   for (const auto& [kind, ktag] : kKinds) {
     for (const BwPoint& bw : kBandwidths) {
       // The optimal interval for this (backend, bandwidth) row group.
       double best = -1.0;
-      for (const IvPoint& iv : kIntervals) {
-        const Cell& cell = find_cell(std::string(ktag) + "/" + bw.tag + "/" +
-                                     iv.tag);
-        if (best < 0 || cell.total_s() < best) best = cell.total_s();
+      for (std::size_t i = 0; i < std::size(kIntervals); ++i) {
+        const double t = total_s(cells[next + i].total);
+        if (best < 0 || t < best) best = t;
       }
       for (const IvPoint& iv : kIntervals) {
-        const Cell& cell = find_cell(std::string(ktag) + "/" + bw.tag + "/" +
-                                     iv.tag);
+        const batch::CaseResult& t = cells[next++].total;
         std::printf("%-15s %-7s %-9s %10.2f %9.1f %8.1f %13.1f %9.1f%s\n",
                     ktag, bw.tag, iv.tag,
-                    static_cast<double>(cell.ckpt_bytes) / (1ull << 30),
-                    cell.stall_s, cell.read_s, cell.lost_work_s,
-                    cell.total_s(),
-                    cell.total_s() == best ? "  <- optimal" : "");
+                    static_cast<double>(t.ckpt_bytes) / (1ull << 30),
+                    static_cast<double>(t.ckpt_stall_us) * 1e-6,
+                    static_cast<double>(t.recovery_read_us) * 1e-6,
+                    t.lost_work_s, total_s(t),
+                    total_s(t) == best ? "  <- optimal" : "");
       }
     }
   }
   std::printf("\n%zu runs in %.2f s (%zu threads)\n", report.cases.size(),
               report.wall_sec, report.threads);
   return 0;
+}
+
+/// One --campaigns token: none | faulty | overlap | mtbf:<dur>.
+std::optional<batch::CampaignPoint> parse_campaign_point(
+    const std::string& tok) {
+  if (tok == "none") return batch::no_campaign();
+  if (tok == "faulty") return batch::reference_campaign();
+  if (tok == "overlap") return batch::overlap_campaign();
+  if (tok.rfind("mtbf:", 0) == 0) {
+    const auto mtbf = parse_duration(tok.substr(5));
+    if (mtbf && !mtbf->is_infinite() && mtbf->ns > 0) {
+      return batch::mtbf_campaign(*mtbf);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -246,13 +251,24 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const auto threads =
-      static_cast<std::size_t>(flags.get_int("threads", 0));
+  batch::RunnerOptions opts;
+  opts.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  opts.obs_dir = flags.get("obs-dir", "");
+  if (!opts.obs_dir.empty()) {
+    const std::string interval_text = flags.get("metrics-interval", "30s");
+    const auto parsed = parse_duration(interval_text);
+    if (!parsed.has_value() || parsed->is_infinite()) {
+      std::fprintf(stderr, "bad --metrics-interval: %s\n",
+                   interval_text.c_str());
+      return 2;
+    }
+    opts.obs_metrics_interval = *parsed;
+  }
 
   const std::string grid = flags.get("grid", "");
   if (!grid.empty()) {
-    if (grid == "determinism") return run_determinism_grid(threads);
-    if (grid == "storage") return run_storage_grid(threads);
+    if (grid == "determinism") return run_determinism_grid(opts);
+    if (grid == "storage") return run_storage_grid(opts);
     std::fprintf(stderr, "unknown --grid=%s (known: determinism storage)\n",
                  grid.c_str());
     return 2;
@@ -282,17 +298,13 @@ int main(int argc, char** argv) {
           batch::scale_topology(static_cast<std::size_t>(*v), nodes, total));
     }
     for (const std::string& tok : split_list(flags.get("campaigns", "none"))) {
-      if (tok == "none") {
-        sweep.campaigns.push_back(batch::no_campaign());
-      } else if (tok == "faulty") {
-        sweep.campaigns.push_back(batch::reference_campaign());
-      } else if (tok == "overlap") {
-        sweep.campaigns.push_back(batch::overlap_campaign());
-      } else {
-        std::fprintf(stderr, "--campaigns wants none|faulty|overlap, got "
-                             "'%s'\n", tok.c_str());
+      const auto point = parse_campaign_point(tok);
+      if (!point) {
+        std::fprintf(stderr, "--campaigns wants none|faulty|overlap|"
+                             "mtbf:<dur>, got '%s'\n", tok.c_str());
         return 2;
       }
+      sweep.campaigns.push_back(*point);
     }
     try {
       sweep.seeds = batch::parse_seed_list(flags.get("seeds", "1..3"),
@@ -302,35 +314,14 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string proto = flags.get("protocol", "hc3i");
-    if (proto == "hc3i") {
-      sweep.protocol = driver::ProtocolKind::kHc3i;
-    } else if (proto == "independent") {
-      sweep.protocol = driver::ProtocolKind::kIndependent;
-    } else if (proto == "coordinated-global") {
-      sweep.protocol = driver::ProtocolKind::kCoordinatedGlobal;
-    } else if (proto == "pessimistic-log") {
-      sweep.protocol = driver::ProtocolKind::kPessimisticLog;
-    } else if (proto == "hierarchical-coordinated") {
-      sweep.protocol = driver::ProtocolKind::kHierarchicalCoordinated;
-    } else {
+    const auto protocol = driver::parse_protocol(proto);
+    if (!protocol) {
       std::fprintf(stderr, "unknown --protocol=%s\n", proto.c_str());
       return 2;
     }
+    sweep.protocol = *protocol;
   }
 
-  batch::RunnerOptions opts;
-  opts.threads = threads;
-  opts.obs_dir = flags.get("obs-dir", "");
-  if (!opts.obs_dir.empty()) {
-    const std::string interval_text = flags.get("metrics-interval", "30s");
-    const auto parsed = parse_duration(interval_text);
-    if (!parsed.has_value() || parsed->is_infinite()) {
-      std::fprintf(stderr, "bad --metrics-interval: %s\n",
-                   interval_text.c_str());
-      return 2;
-    }
-    opts.obs_metrics_interval = *parsed;
-  }
   const batch::Runner runner(opts);
   batch::BatchReport report;
   try {

@@ -1,8 +1,7 @@
 #include "batch/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
-#include <utility>
 
 namespace hc3i::batch {
 
@@ -59,94 +58,95 @@ double BatchReport::runs_per_min() const {
                       : 0.0;
 }
 
-std::string BatchReport::render_table() const {
-  // Aggregate per (topology, campaign) cell, in first-appearance (grid)
-  // order.
-  struct Key {
-    std::string topology, campaign, storage;
-    bool operator==(const Key&) const = default;
-  };
-  struct Cell {
-    std::size_t runs{0};
-    std::uint64_t events{0};
-    double wall_sec{0.0};
-    std::uint64_t clcs{0}, faults{0}, rollbacks{0}, replayed{0};
-    std::uint64_t ckpt_bytes{0}, ckpt_stall_us{0};
-    std::size_t failed{0};
-  };
-  // The storage column (and the per-cell split by storage point) appears
-  // only when some case actually ran on the storage axis — sweeps without
-  // it render byte-identically to the pre-axis format.
-  bool any_storage = false;
-  for (const CaseResult& c : cases) any_storage |= !c.storage.empty();
-  std::vector<std::pair<Key, Cell>> cells;
+std::vector<CellResult> BatchReport::cells() const {
+  std::vector<CellResult> out;
   for (const CaseResult& c : cases) {
-    const Key key{c.topology, c.campaign, c.storage};
-    Cell* cell = nullptr;
-    for (auto& [k, v] : cells) {
-      if (k == key) {
-        cell = &v;
+    CellResult* cell = nullptr;
+    for (CellResult& known : out) {
+      if (known.total.topology == c.topology &&
+          known.total.campaign == c.campaign &&
+          known.total.storage == c.storage) {
+        cell = &known;
         break;
       }
     }
     if (!cell) {
-      cells.emplace_back(key, Cell{});
-      cell = &cells.back().second;
+      cell = &out.emplace_back();
+      cell->total.index = c.index;
+      cell->total.topology = c.topology;
+      cell->total.campaign = c.campaign;
+      cell->total.storage = c.storage;
+      cell->total.seed = c.seed;
     }
+    CaseResult& t = cell->total;
     ++cell->runs;
-    cell->events += c.events;
-    cell->wall_sec += c.wall_sec;
-    cell->clcs += c.clcs;
-    cell->faults += c.faults;
-    cell->rollbacks += c.rollbacks;
-    cell->replayed += c.replayed;
-    cell->ckpt_bytes += c.ckpt_bytes;
-    cell->ckpt_stall_us += c.ckpt_stall_us;
     if (!c.ok) ++cell->failed;
+    t.ok = cell->failed == 0;
+    t.events += c.events;
+    t.violations += c.violations;
+    t.clcs += c.clcs;
+    t.faults += c.faults;
+    t.rollbacks += c.rollbacks;
+    t.replayed += c.replayed;
+    t.ckpt_bytes += c.ckpt_bytes;
+    t.ckpt_saved += c.ckpt_saved;
+    t.ckpt_stall_us += c.ckpt_stall_us;
+    t.recovery_read_us += c.recovery_read_us;
+    t.fanout += c.fanout;
+    t.gc_saved_bytes += c.gc_saved_bytes;
+    t.recoveries += c.recoveries;
+    t.recovery_latency += c.recovery_latency;
+    t.lost_work_s += c.lost_work_s;
+    t.wall_sec += c.wall_sec;
+    t.census_pairs = std::max(t.census_pairs, c.census_pairs);
+    t.max_clcs = std::max(t.max_clcs, c.max_clcs);
   }
+  return out;
+}
+
+std::string BatchReport::render_table() const {
+  // The storage columns (and the per-cell split by storage point) appear
+  // only when some case actually ran on the storage axis.
+  bool any_storage = false;
+  for (const CaseResult& c : cases) any_storage |= !c.storage.empty();
 
   std::string out;
-  if (any_storage) {
-    appendf(&out, "%-16s %-10s %-12s %5s %12s %11s %7s %7s %7s %7s %12s "
-                  "%9s %6s\n",
-            "topology", "campaign", "storage", "runs", "events", "ev/s",
-            "clcs", "faults", "rb", "replay", "ckpt bytes", "stall s",
-            "fail");
-  } else {
-    appendf(&out, "%-16s %-10s %5s %12s %11s %7s %7s %7s %7s %6s\n",
-            "topology", "campaign", "runs", "events", "ev/s", "clcs",
-            "faults", "rb", "replay", "fail");
-  }
-  for (const auto& [key, cell] : cells) {
+  appendf(&out, "%-16s %-10s ", "topology", "campaign");
+  if (any_storage) appendf(&out, "%-12s ", "storage");
+  appendf(&out, "%5s %12s %11s %7s %7s %7s %8s %7s %7s %9s %7s %6s %8s %11s ",
+          "runs", "events", "ev/s", "clcs", "faults", "rb", "rb/fault",
+          "fanout", "replay", "lost_s", "lat_ms", "pairs", "max_clcs",
+          "gc_saved_B");
+  if (any_storage) appendf(&out, "%12s %9s ", "ckpt bytes", "stall s");
+  appendf(&out, "%6s\n", "fail");
+  for (const CellResult& cell : cells()) {
+    const CaseResult& t = cell.total;
+    appendf(&out, "%-16s %-10s ", t.topology.c_str(), t.campaign.c_str());
     if (any_storage) {
-      appendf(&out,
-              "%-16s %-10s %-12s %5zu %12llu %11.0f %7llu %7llu %7llu %7llu "
-              "%12llu %9.2f %6zu\n",
-              key.topology.c_str(), key.campaign.c_str(),
-              key.storage.empty() ? "off" : key.storage.c_str(), cell.runs,
-              static_cast<unsigned long long>(cell.events),
-              cell.wall_sec > 0
-                  ? static_cast<double>(cell.events) / cell.wall_sec
-                  : 0.0,
-              static_cast<unsigned long long>(cell.clcs),
-              static_cast<unsigned long long>(cell.faults),
-              static_cast<unsigned long long>(cell.rollbacks),
-              static_cast<unsigned long long>(cell.replayed),
-              static_cast<unsigned long long>(cell.ckpt_bytes),
-              static_cast<double>(cell.ckpt_stall_us) * 1e-6, cell.failed);
-    } else {
-      appendf(&out, "%-16s %-10s %5zu %12llu %11.0f %7llu %7llu %7llu %7llu "
-                    "%6zu\n",
-              key.topology.c_str(), key.campaign.c_str(), cell.runs,
-              static_cast<unsigned long long>(cell.events),
-              cell.wall_sec > 0
-                  ? static_cast<double>(cell.events) / cell.wall_sec
-                  : 0.0,
-              static_cast<unsigned long long>(cell.clcs),
-              static_cast<unsigned long long>(cell.faults),
-              static_cast<unsigned long long>(cell.rollbacks),
-              static_cast<unsigned long long>(cell.replayed), cell.failed);
+      appendf(&out, "%-12s ", t.storage.empty() ? "off" : t.storage.c_str());
     }
+    appendf(&out,
+            "%5zu %12llu %11.0f %7llu %7llu %7llu %8.2f %7llu %7llu %9.1f "
+            "%7.1f %6zu %8llu %11llu ",
+            cell.runs, static_cast<unsigned long long>(t.events),
+            t.wall_sec > 0 ? static_cast<double>(t.events) / t.wall_sec : 0.0,
+            static_cast<unsigned long long>(t.clcs),
+            static_cast<unsigned long long>(t.faults),
+            static_cast<unsigned long long>(t.rollbacks),
+            t.faults > 0 ? static_cast<double>(t.rollbacks) /
+                               static_cast<double>(t.faults)
+                         : 0.0,
+            static_cast<unsigned long long>(t.fanout),
+            static_cast<unsigned long long>(t.replayed), t.lost_work_s,
+            t.mean_recovery_latency_s() * 1e3, t.census_pairs,
+            static_cast<unsigned long long>(t.max_clcs),
+            static_cast<unsigned long long>(t.gc_saved_bytes));
+    if (any_storage) {
+      appendf(&out, "%12llu %9.2f ",
+              static_cast<unsigned long long>(t.ckpt_bytes),
+              static_cast<double>(t.ckpt_stall_us) * 1e-6);
+    }
+    appendf(&out, "%6zu\n", cell.failed);
   }
   std::uint64_t reused = 0, fresh = 0;
   for (const WorkerStats& w : workers) {

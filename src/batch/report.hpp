@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "util/time.hpp"
+
 namespace hc3i::batch {
 
 /// Outcome of one grid cell's run.
@@ -33,12 +35,35 @@ struct CaseResult {
   std::uint64_t ckpt_saved{0};        ///< bytes incremental capture saved
   std::uint64_t ckpt_stall_us{0};     ///< node-us stalled on capture writes
   std::uint64_t recovery_read_us{0};  ///< us reading chains on recovery
+  std::uint64_t fanout{0};            ///< rollback alerts received
+  std::uint64_t gc_saved_bytes{0};    ///< GC response bytes delta-encoding saved
+  std::uint64_t recoveries{0};        ///< completed recoveries (latency count)
+  SimTime recovery_latency{};         ///< summed injection-to-resume latency
   double lost_work_s{0.0};            ///< node-seconds recomputed
   double wall_sec{0.0};
+  // High-water fields: a cell keeps their max, not their sum.
+  std::size_t census_pairs{0};        ///< cluster pairs carrying app traffic
+  std::uint64_t max_clcs{0};          ///< retained-CLC high-water, any cluster
+
+  /// Mean injection-to-resume latency in seconds (0 with no recoveries).
+  double mean_recovery_latency_s() const {
+    return recoveries > 0
+               ? recovery_latency.seconds() / static_cast<double>(recoveries)
+               : 0.0;
+  }
 
   /// Full registry dump (RunnerOptions::keep_dumps only): byte-identical to
   /// the --dump-counters output of a solo run of the same (spec, seed).
   std::string dump;
+};
+
+/// One (topology, campaign, storage) cell of a grid: its cases folded into
+/// one CaseResult (`total`) — counts, bytes, times and lost work summed, the
+/// high-water fields maxed.  `total`'s identity fields are the cell's.
+struct CellResult {
+  std::size_t runs{0};
+  std::size_t failed{0};  ///< cases with violations or an error
+  CaseResult total;
 };
 
 /// Per-worker execution stats (shard telemetry, not simulation results).
@@ -60,8 +85,11 @@ struct BatchReport {
   std::size_t failures() const;  ///< cases with violations or an error
   double runs_per_min() const;
 
-  /// Human-readable aggregate: one row per (topology, campaign) cell plus a
-  /// throughput footer.
+  /// The grid's cells in first-appearance (grid) order.
+  std::vector<CellResult> cells() const;
+
+  /// Human-readable aggregate: one row per cells() entry plus a throughput
+  /// footer.
   std::string render_table() const;
 
   /// Machine-readable form: aggregate header, per-worker stats, and one

@@ -1,6 +1,8 @@
 #include "batch/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -16,15 +18,35 @@ namespace {
 
 using util::now_sec;
 
-/// Execute one grid cell inside the worker's context.
-CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
-                    const RunnerOptions& ropts) {
+/// Sum of a per-cluster counter family `<prefix>.c<i>` (or its max when
+/// `take_max`), looked up by name through a stack buffer.
+std::uint64_t per_cluster(const stats::Registry& reg, const char* prefix,
+                          std::size_t clusters, bool take_max) {
+  std::uint64_t acc = 0;
+  char name[64];
+  for (std::size_t c = 0; c < clusters; ++c) {
+    std::snprintf(name, sizeof name, "%s.c%zu", prefix, c);
+    const std::uint64_t v = reg.get(name);
+    acc = take_max ? std::max(acc, v) : acc + v;
+  }
+  return acc;
+}
+
+/// A CaseResult carrying only `rc`'s grid identity (ok = false).
+CaseResult labelled(const RunCase& rc) {
   CaseResult cr;
   cr.index = rc.index;
   cr.topology = rc.topology;
   cr.campaign = rc.campaign;
   cr.storage = rc.storage;
   cr.seed = rc.seed;
+  return cr;
+}
+
+/// Execute one grid cell inside the worker's context.
+CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
+                    const RunnerOptions& ropts) {
+  CaseResult cr;
   const double t0 = now_sec();
   try {
     driver::RunOptions opts = rc.options();
@@ -36,6 +58,7 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
       opts.metrics_interval = ropts.obs_metrics_interval;
     }
     const driver::RunResult result = driver::run_simulation(opts, ctx);
+    cr = summarize(rc, result);
     if (!ropts.obs_dir.empty() && result.obs != nullptr) {
       // Disjoint per case (keyed by grid index), so workers never race on a
       // path no matter how the cursor interleaves.
@@ -51,23 +74,10 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
         cr.error = "cannot write " + base + ".metrics.tsv";
       }
     }
-    cr.events = result.events_executed;
-    cr.violations = result.violations.size();
-    for (std::size_t c = 0; c < rc.spec->topology.cluster_count(); ++c) {
-      cr.clcs += result.clc_total(ClusterId{static_cast<std::uint32_t>(c)});
-    }
-    cr.faults = result.counter("fault.injected");
-    cr.rollbacks = result.counter("rollback.count");
-    cr.replayed = result.counter("log.resent_msgs");
-    cr.ckpt_bytes = result.counter("ckpt.bytes_written");
-    cr.ckpt_saved = result.counter("ckpt.bytes_delta_saved");
-    cr.ckpt_stall_us = result.counter("ckpt.stall_us");
-    cr.recovery_read_us = result.counter("recovery.read_us");
-    cr.lost_work_s = result.registry.summary("rollback.lost_work_s").sum();
     if (ropts.keep_dumps) cr.dump = result.registry.dump();
-    cr.ok = cr.violations == 0 && cr.error.empty();
+    cr.ok = cr.ok && cr.error.empty();
   } catch (const std::exception& e) {
-    cr.ok = false;
+    cr = labelled(rc);
     cr.error = e.what();
   }
   cr.wall_sec = now_sec() - t0;
@@ -75,6 +85,36 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
 }
 
 }  // namespace
+
+CaseResult summarize(const RunCase& rc, const driver::RunResult& result) {
+  CaseResult cr = labelled(rc);
+  const stats::Registry& reg = result.registry;
+  const std::size_t clusters = rc.spec->topology.cluster_count();
+  cr.events = result.events_executed;
+  cr.violations = result.violations.size();
+  cr.clcs = per_cluster(reg, "clc.total", clusters, false);
+  cr.faults = reg.get("fault.injected");
+  cr.rollbacks = reg.get("rollback.count");
+  cr.fanout = reg.get("rollback.alerts");
+  cr.replayed = reg.get("log.resent_msgs");
+  cr.ckpt_bytes = reg.get("ckpt.bytes_written");
+  cr.ckpt_saved = reg.get("ckpt.bytes_delta_saved");
+  cr.ckpt_stall_us = reg.get("ckpt.stall_us");
+  cr.recovery_read_us = reg.get("recovery.read_us");
+  if (const stats::Summary* lost = reg.find_summary("rollback.lost_work_s")) {
+    cr.lost_work_s = lost->sum();
+  }
+  for (const fault::Incident& inc : result.incidents) {
+    if (!inc.recovery_complete) continue;
+    ++cr.recoveries;
+    cr.recovery_latency += inc.recovery_latency();
+  }
+  cr.census_pairs = result.census_pairs;
+  cr.max_clcs = per_cluster(reg, "store.max_clcs", clusters, true);
+  cr.gc_saved_bytes = per_cluster(reg, "gc.resp_bytes_saved", clusters, false);
+  cr.ok = cr.violations == 0;
+  return cr;
+}
 
 BatchReport Runner::run(const SweepSpec& sweep) const {
   return run(expand(sweep));

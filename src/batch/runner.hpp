@@ -20,6 +20,7 @@
 
 #include "batch/report.hpp"
 #include "batch/sweep.hpp"
+#include "driver/run.hpp"
 #include "util/time.hpp"
 
 namespace hc3i::batch {
@@ -41,6 +42,14 @@ struct RunnerOptions {
   /// Metrics sampling period for obs_dir cases (zero = trace only).
   SimTime obs_metrics_interval{SimTime::zero()};
 };
+
+/// The one per-run summary: a grid cell's identity plus the figures every
+/// table reads off its run (events, CLCs, fault and recovery cost, storage
+/// cost, census pairs, retained-CLC and GC high-waters).  Reads the registry
+/// by name only — no counter-name walk, no summary interned — so a solo run
+/// and a sharded one summarise identically.  `wall_sec`, `error` and `dump`
+/// are the caller's to fill; `ok` reflects violations only.
+CaseResult summarize(const RunCase& rc, const driver::RunResult& result);
 
 /// Shards a sweep's runs across worker threads, each with its own
 /// SimContext.

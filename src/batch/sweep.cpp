@@ -4,6 +4,7 @@
 
 #include "config/parser.hpp"
 #include "config/presets.hpp"
+#include "config/writer.hpp"
 #include "util/check.hpp"
 #include "util/quantity.hpp"
 
@@ -37,7 +38,7 @@ std::shared_ptr<const fault::Campaign> materialize(
 /// Spec for one (topology, storage) cell: the shared base when the point is
 /// inactive, otherwise a derived copy with the cost model applied to every
 /// cluster and the interval / state-size overrides folded in.
-std::shared_ptr<const config::RunSpec> apply_storage(
+std::shared_ptr<const config::RunSpec> with_storage(
     const std::shared_ptr<const config::RunSpec>& base,
     const StoragePoint& point) {
   if (!point.active()) return base;
@@ -127,7 +128,7 @@ std::vector<RunCase> expand(const SweepSpec& sweep) {
     std::vector<std::shared_ptr<const config::RunSpec>> specs;
     specs.reserve(storage_axis.size());
     for (const StoragePoint& sp : storage_axis) {
-      specs.push_back(apply_storage(topo.spec, sp));
+      specs.push_back(with_storage(topo.spec, sp));
     }
     for (const CampaignPoint& camp : sweep.campaigns) {
       // One materialised plan per grid cell, shared by that cell's seeds.
@@ -188,6 +189,15 @@ CampaignPoint explicit_campaign(std::string name, fault::Campaign plan) {
                            std::move(plan))};
 }
 
+CampaignPoint mtbf_campaign(SimTime mtbf) {
+  fault::Campaign plan;
+  fault::StreamSpec stream;  // no cluster: victims from the whole federation
+  stream.mtbf = mtbf;
+  plan.streams.push_back(stream);
+  return explicit_campaign("mtbf:" + config::duration_text(mtbf),
+                           std::move(plan));
+}
+
 StoragePoint storage_point(std::string name, config::StorageSpec storage,
                            SimTime clc_period, std::uint64_t state_bytes) {
   StoragePoint point;
@@ -215,20 +225,6 @@ std::uint64_t want_uint(const Section& sec, const std::string& origin,
   const auto v = parse_uint(it->second);
   if (!v) fail(origin, sec.line, "bad " + key + " '" + it->second + "'");
   return *v;
-}
-
-driver::ProtocolKind parse_protocol(const std::string& name,
-                                    const std::string& origin, int line) {
-  if (name == "hc3i") return driver::ProtocolKind::kHc3i;
-  if (name == "independent") return driver::ProtocolKind::kIndependent;
-  if (name == "coordinated-global") {
-    return driver::ProtocolKind::kCoordinatedGlobal;
-  }
-  if (name == "pessimistic-log") return driver::ProtocolKind::kPessimisticLog;
-  if (name == "hierarchical-coordinated") {
-    return driver::ProtocolKind::kHierarchicalCoordinated;
-  }
-  fail(origin, line, "unknown protocol '" + name + "'");
 }
 
 }  // namespace
@@ -277,7 +273,11 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
           sweep.seeds = parse_seed_list(
               value, origin + ":" + std::to_string(sec.line));
         } else if (key == "protocol") {
-          sweep.protocol = parse_protocol(value, origin, sec.line);
+          const auto protocol = driver::parse_protocol(value);
+          if (!protocol) {
+            fail(origin, sec.line, "unknown protocol '" + value + "'");
+          }
+          sweep.protocol = *protocol;
         } else {
           fail(origin, sec.line, "unknown [sweep] key '" + key + "'");
         }
@@ -358,15 +358,11 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
       point.name = sec.args[0];
       for (const auto& [key, value] : sec.values) {
         if (key == "kind") {
-          if (value == "local-disk") {
-            point.storage.kind = config::StorageSpec::Kind::kLocalDisk;
-          } else if (value == "striped-remote") {
-            point.storage.kind = config::StorageSpec::Kind::kStripedRemote;
-          } else if (value == "none") {
-            point.storage.kind = config::StorageSpec::Kind::kNone;
-          } else {
+          const auto kind = config::parse_storage_kind(value);
+          if (!kind) {
             fail(origin, sec.line, "unknown storage kind '" + value + "'");
           }
+          point.storage.kind = *kind;
         } else if (key == "latency") {
           const auto v = parse_duration(value);
           if (!v) fail(origin, sec.line, "bad latency '" + value + "'");

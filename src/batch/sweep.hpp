@@ -130,6 +130,9 @@ CampaignPoint reference_campaign();
 CampaignPoint overlap_campaign();
 /// Explicit plan under `name`.
 CampaignPoint explicit_campaign(std::string name, fault::Campaign plan);
+/// Sustained fault load: one federation-wide Poisson stream of mean `mtbf`
+/// (the fault-rate axis), named "mtbf:<mtbf>".
+CampaignPoint mtbf_campaign(SimTime mtbf);
 
 /// Storage-axis point: cost model plus optional interval / state-size
 /// overrides (zero keeps the topology point's values).

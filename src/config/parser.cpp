@@ -82,6 +82,13 @@ std::size_t cluster_index_arg(const Section& sec, const TopologySpec& topo,
 
 }  // namespace
 
+std::optional<StorageSpec::Kind> parse_storage_kind(std::string_view name) {
+  if (name == "none") return StorageSpec::Kind::kNone;
+  if (name == "local-disk") return StorageSpec::Kind::kLocalDisk;
+  if (name == "striped-remote") return StorageSpec::Kind::kStripedRemote;
+  return std::nullopt;
+}
+
 std::vector<Section> parse_sections(std::string_view text,
                                     const std::string& origin) {
   std::vector<Section> sections;
@@ -161,15 +168,11 @@ TopologySpec parse_topology(std::string_view text, const std::string& origin) {
       if (sec.values.count("storage")) {
         auto& st = c.storage;
         const std::string& kind = sec.values.at("storage");
-        if (kind == "none") {
-          st.kind = StorageSpec::Kind::kNone;
-        } else if (kind == "local-disk") {
-          st.kind = StorageSpec::Kind::kLocalDisk;
-        } else if (kind == "striped-remote") {
-          st.kind = StorageSpec::Kind::kStripedRemote;
-        } else {
+        const auto parsed = parse_storage_kind(kind);
+        if (!parsed) {
           fail(origin, sec.line, "unknown storage kind '" + kind + "'");
         }
+        st.kind = *parsed;
         if (sec.values.count("storage_latency")) {
           st.latency = need_duration(sec, "storage_latency", origin);
         }

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -58,6 +59,11 @@ struct Section {
   std::map<std::string, std::string> values;
   int line{0};                     ///< line number of the [section] header
 };
+
+/// Parse a checkpoint-storage kind (`none | local-disk | striped-remote`),
+/// the vocabulary shared by topology files and sweep files.  Empty optional
+/// on an unknown name.
+std::optional<StorageSpec::Kind> parse_storage_kind(std::string_view name);
 
 /// Parse the generic INI dialect. `origin` names the source in errors.
 std::vector<Section> parse_sections(std::string_view text,

@@ -30,6 +30,21 @@ std::string to_string(ProtocolKind kind) {
   HC3I_UNREACHABLE("bad ProtocolKind");
 }
 
+std::optional<ProtocolKind> parse_protocol(std::string_view name) {
+  if (name == "hc3i") return ProtocolKind::kHc3i;
+  if (name == "independent") return ProtocolKind::kIndependent;
+  if (name == "coordinated-global" || name == "global") {
+    return ProtocolKind::kCoordinatedGlobal;
+  }
+  if (name == "hierarchical-coordinated" || name == "hier") {
+    return ProtocolKind::kHierarchicalCoordinated;
+  }
+  if (name == "pessimistic-log" || name == "pessimistic") {
+    return ProtocolKind::kPessimisticLog;
+  }
+  return std::nullopt;
+}
+
 std::uint64_t RunResult::clc_forced(ClusterId c) const {
   return registry.get("clc.forced.c" + std::to_string(c.v));
 }
@@ -211,6 +226,7 @@ RunResult run_simulation(const RunOptions& opts, SimContext& ctx) {
   result.registry = registry;
   result.end_time = sim.now();
   result.events_executed = sim.events_executed();
+  result.census_pairs = fed.network().census_active_pairs();
   result.total_progress = workload.total_progress();
   result.total_received = workload.total_received();
 

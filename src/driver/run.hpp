@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/spec.hpp"
@@ -40,6 +42,12 @@ enum class ProtocolKind {
 
 /// Human-readable protocol name.
 std::string to_string(ProtocolKind kind);
+
+/// Parse a protocol name, the one vocabulary every CLI and config file
+/// shares: `hc3i`, `independent`, and each baseline under its long or short
+/// spelling (`coordinated-global|global`, `hierarchical-coordinated|hier`,
+/// `pessimistic-log|pessimistic`).  Empty optional on an unknown name.
+std::optional<ProtocolKind> parse_protocol(std::string_view name);
 
 /// A failure to inject at a fixed simulated time.  Legacy shim: folded into
 /// the campaign as a `fault::KillSpec` at run time (same semantics, byte-
@@ -105,6 +113,9 @@ struct RunResult {
   std::shared_ptr<obs::Recording> obs;
   SimTime end_time{};
   std::uint64_t events_executed{0};
+  /// Distinct (src, dst) cluster pairs that carried application traffic
+  /// (net::Network::census_active_pairs at the end of the run).
+  std::size_t census_pairs{0};
   std::uint64_t total_progress{0};
   std::uint64_t total_received{0};
 

@@ -144,8 +144,8 @@ std::optional<Phase> parse_phase(std::string_view name);
 /// scale"): one scripted kill, a 3-node burst, a per-cluster MTBF stream, a
 /// repeat offender and a commit-targeted trigger, with times expressed as
 /// fractions of `total` so the same shape runs at any horizon.  Requires
-/// `clusters >= 2`; used by the `scale_fed_faulty` bench kernel, the
-/// `scale_federation --faulty` CI golden and the fault_campaign example.
+/// `clusters >= 2`; used by the `scale_fed_faulty` bench kernel and the
+/// `scale_federation --faulty` CI golden.
 Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
                                   SimTime total);
 
@@ -154,9 +154,8 @@ Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
 /// instant in *disjoint* clusters, a scripted kill lands in cluster 0 at
 /// that instant and a second cluster-0 kill 20 ms later exercises the
 /// kill-during-recovery queue (`fault.queued_same_cluster`).  Requires
-/// `clusters >= 4`.  Used by the `scale_fed_overlap` bench kernel,
-/// the `scale_federation --overlap` CI golden and `fault_campaign
-/// --overlap`.
+/// `clusters >= 4`.  Used by the `scale_fed_overlap` bench kernel and
+/// the `scale_federation --overlap` CI golden.
 Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
                                     SimTime total);
 
@@ -168,6 +167,7 @@ Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
 /// time-scheduled kill (scripted, burst, repeat — streams and phase
 /// triggers have no static schedule) and throws CheckFailure naming the
 /// offending injector when a queued kill could not fire before `bound`.
+/// `hc3i_sim --campaign` applies it to every user campaign file.
 void check_queue_bounds(const Campaign& plan, const config::RunSpec& spec,
                         SimTime bound);
 

@@ -64,6 +64,11 @@ std::uint64_t Registry::get(std::string_view name) const {
   return idx == detail::NameIndex::kNone ? 0 : counters_.at(idx).value();
 }
 
+const Summary* Registry::find_summary(std::string_view name) const {
+  const std::uint32_t idx = summary_names_.find(name);
+  return idx == detail::NameIndex::kNone ? nullptr : &summaries_.at(idx);
+}
+
 std::vector<std::string> Registry::counter_names() const {
   std::vector<std::string> names = counter_names_.names();
   std::sort(names.begin(), names.end());

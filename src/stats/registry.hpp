@@ -154,6 +154,9 @@ class Registry {
     return summaries_.ensure(summary_names_.intern(name));
   }
 
+  /// Read a named summary without interning it: null if never touched.
+  const Summary* find_summary(std::string_view name) const;
+
   /// All counter names in lexicographic order (for dumps).
   std::vector<std::string> counter_names() const;
 

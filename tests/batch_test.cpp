@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -483,6 +484,162 @@ TEST(SweepExpand, ValidationRejectsBadGrids) {
   mixed.campaigns = {batch::explicit_campaign("k6", std::move(plan))};
   mixed.seeds = {1};
   EXPECT_THROW(batch::expand(mixed), CheckFailure);
+}
+
+// ---------------------------------------------------------------------------
+// The one per-run summary and the one cell aggregation
+// ---------------------------------------------------------------------------
+
+TEST(Summarize, FieldsEqualTheRunsRegistry) {
+  batch::SweepSpec sweep;
+  sweep.topologies = {batch::scale_topology(3, 4, minutes(20))};
+  sweep.campaigns = {batch::reference_campaign()};
+  sweep.seeds = {1};
+  const batch::RunCase rc = batch::expand(sweep)[0];
+  driver::RunOptions opts = rc.options();
+  opts.validate = false;
+  const driver::RunResult result = driver::run_simulation(opts);
+  const batch::CaseResult cr = batch::summarize(rc, result);
+  const stats::Registry& reg = result.registry;
+
+  EXPECT_EQ(cr.topology, "scale_3x4");
+  EXPECT_EQ(cr.campaign, "faulty");
+  EXPECT_TRUE(cr.ok);
+  EXPECT_EQ(cr.events, result.events_executed);
+  EXPECT_EQ(cr.faults, reg.get("fault.injected"));
+  EXPECT_EQ(cr.rollbacks, reg.get("rollback.count"));
+  EXPECT_EQ(cr.fanout, reg.get("rollback.alerts"));
+  EXPECT_EQ(cr.replayed, reg.get("log.resent_msgs"));
+  EXPECT_EQ(cr.lost_work_s, reg.summary("rollback.lost_work_s").sum());
+  ASSERT_GT(cr.faults, 0u);
+  ASSERT_GT(cr.fanout, 0u);
+
+  // The table columns that used to come from a counter-name walk.
+  std::size_t pairs = 0;
+  std::uint64_t max_clcs = 0, gc_saved = 0, clcs = 0;
+  for (const std::string& name : reg.counter_names()) {
+    if (name.rfind("net.app.pair.", 0) == 0) ++pairs;
+    if (name.rfind("store.max_clcs.", 0) == 0) {
+      max_clcs = std::max(max_clcs, reg.get(name));
+    }
+    if (name.rfind("gc.resp_bytes_saved.", 0) == 0) gc_saved += reg.get(name);
+    if (name.rfind("clc.total.", 0) == 0) clcs += reg.get(name);
+  }
+  EXPECT_EQ(cr.census_pairs, pairs);
+  EXPECT_EQ(cr.max_clcs, max_clcs);
+  EXPECT_EQ(cr.gc_saved_bytes, gc_saved);
+  EXPECT_EQ(cr.clcs, clcs);
+  EXPECT_GT(pairs, 3u);
+  EXPECT_GT(max_clcs, 0u);
+
+  const stats::Summary& latency = reg.summary("fault.recovery_latency_s");
+  ASSERT_GT(latency.count(), 0u);
+  EXPECT_EQ(cr.recoveries, latency.count());
+  EXPECT_NEAR(cr.mean_recovery_latency_s(), latency.mean(),
+              1e-12 * latency.mean());
+}
+
+TEST(Summarize, InternsNoSummary) {
+  // A failure-free run never observes lost work or recovery latency; the
+  // summary must read them without creating them.
+  const batch::RunCase rc = batch::expand(isolation_sweep())[0];
+  driver::RunOptions opts = rc.options();
+  const driver::RunResult result = driver::run_simulation(opts);
+  ASSERT_EQ(result.registry.find_summary("rollback.lost_work_s"), nullptr);
+  const batch::CaseResult cr = batch::summarize(rc, result);
+  EXPECT_EQ(cr.lost_work_s, 0.0);
+  EXPECT_EQ(cr.recoveries, 0u);
+  EXPECT_EQ(result.registry.find_summary("rollback.lost_work_s"), nullptr);
+  EXPECT_EQ(result.registry.find_summary("fault.recovery_latency_s"),
+            nullptr);
+}
+
+TEST(BatchReport, CellAggregateIsTheSumOfItsCases) {
+  batch::SweepSpec sweep = isolation_sweep();
+  sweep.topologies.resize(2);  // 2 topologies x 2 campaigns x 5 seeds
+  batch::RunnerOptions ropts;
+  ropts.threads = 2;
+  const batch::BatchReport report = batch::Runner(ropts).run(sweep);
+  ASSERT_EQ(report.cases.size(), 20u);
+  const std::vector<batch::CellResult> cells = report.cells();
+  ASSERT_EQ(cells.size(), 4u);
+
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const batch::CellResult& cell = cells[k];
+    // Grid order: topology-major, then campaign, then seed.
+    const std::vector<batch::CaseResult> members(
+        report.cases.begin() + static_cast<std::ptrdiff_t>(5 * k),
+        report.cases.begin() + static_cast<std::ptrdiff_t>(5 * k + 5));
+    batch::CaseResult sum;
+    std::size_t failed = 0;
+    for (const batch::CaseResult& c : members) {
+      EXPECT_EQ(c.topology, cell.total.topology);
+      EXPECT_EQ(c.campaign, cell.total.campaign);
+      sum.events += c.events;
+      sum.clcs += c.clcs;
+      sum.faults += c.faults;
+      sum.rollbacks += c.rollbacks;
+      sum.fanout += c.fanout;
+      sum.replayed += c.replayed;
+      sum.recoveries += c.recoveries;
+      sum.recovery_latency += c.recovery_latency;
+      sum.gc_saved_bytes += c.gc_saved_bytes;
+      sum.lost_work_s += c.lost_work_s;
+      sum.wall_sec += c.wall_sec;
+      sum.census_pairs = std::max(sum.census_pairs, c.census_pairs);
+      sum.max_clcs = std::max(sum.max_clcs, c.max_clcs);
+      if (!c.ok) ++failed;
+    }
+    EXPECT_EQ(cell.runs, members.size());
+    EXPECT_EQ(cell.failed, failed);
+    EXPECT_EQ(cell.total.events, sum.events);
+    EXPECT_EQ(cell.total.clcs, sum.clcs);
+    EXPECT_EQ(cell.total.faults, sum.faults);
+    EXPECT_EQ(cell.total.rollbacks, sum.rollbacks);
+    EXPECT_EQ(cell.total.fanout, sum.fanout);
+    EXPECT_EQ(cell.total.replayed, sum.replayed);
+    EXPECT_EQ(cell.total.recoveries, sum.recoveries);
+    EXPECT_EQ(cell.total.recovery_latency, sum.recovery_latency);
+    EXPECT_EQ(cell.total.gc_saved_bytes, sum.gc_saved_bytes);
+    EXPECT_EQ(cell.total.lost_work_s, sum.lost_work_s);
+    EXPECT_EQ(cell.total.wall_sec, sum.wall_sec);
+    EXPECT_EQ(cell.total.census_pairs, sum.census_pairs);
+    EXPECT_EQ(cell.total.max_clcs, sum.max_clcs);
+  }
+  // The kill cells carry the fault cost; the failure-free cells none.
+  EXPECT_EQ(cells[0].total.faults, 0u);
+  EXPECT_EQ(cells[1].total.faults, 5u);
+  EXPECT_GT(cells[1].total.recoveries, 0u);
+
+  // The table renders exactly these cells: header, one row each, footer.
+  const std::string table = report.render_table();
+  std::size_t row = 0;
+  std::size_t pos = table.find('\n') + 1;  // skip the header
+  for (const batch::CellResult& cell : cells) {
+    const std::string line = table.substr(pos, table.find('\n', pos) - pos);
+    EXPECT_EQ(line.rfind(cell.total.topology, 0), 0u) << line;
+    EXPECT_NE(line.find(cell.total.campaign), std::string::npos) << line;
+    EXPECT_NE(line.find(" " + std::to_string(cell.total.events) + " "),
+              std::string::npos)
+        << line;
+    pos = table.find('\n', pos) + 1;
+    ++row;
+  }
+  EXPECT_EQ(row, 4u);
+  EXPECT_EQ(table.substr(pos, 1), "\n");  // blank line before the footer
+}
+
+TEST(SweepAxes, MtbfCampaignIsOneFederationWideStream) {
+  const batch::CampaignPoint point = batch::mtbf_campaign(minutes(5));
+  EXPECT_EQ(point.name, "mtbf:5min");
+  EXPECT_EQ(point.kind, batch::CampaignPoint::Kind::kExplicit);
+  ASSERT_NE(point.plan, nullptr);
+  EXPECT_EQ(point.plan->size(), 1u);
+  ASSERT_EQ(point.plan->streams.size(), 1u);
+  EXPECT_EQ(point.plan->streams[0].mtbf, minutes(5));
+  EXPECT_FALSE(point.plan->streams[0].cluster.has_value());
+  EXPECT_EQ(point.plan->streams[0].start, SimTime::zero());
+  EXPECT_TRUE(point.plan->streams[0].stop.is_infinite());
 }
 
 }  // namespace

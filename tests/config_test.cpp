@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "config/parser.hpp"
 #include "config/presets.hpp"
 #include "config/writer.hpp"
+#include "driver/run.hpp"
 
 namespace hc3i::config {
 namespace {
@@ -216,6 +221,78 @@ TEST(Presets, SmallSpecValidates) {
     const RunSpec spec = small_test_spec(clusters, 4);
     EXPECT_NO_THROW(spec.validate());
   }
+}
+
+// The committed reference files are exactly what the writer renders for the
+// paper presets (Table 1: both timers 30 min, GC off), and they load back to
+// those presets.
+TEST(ConfigFiles, CommittedPaperFilesMatchThePresets) {
+  const std::string dir = std::string(HC3I_SOURCE_DIR) + "/configs/paper/";
+  const TopologySpec topo = paper_reference_topology();
+  const ApplicationSpec app = paper_reference_application();
+  const TimersSpec timers = paper_reference_timers(minutes(30), minutes(30));
+  EXPECT_EQ(read_file(dir + "topology.conf"), write_topology(topo));
+  EXPECT_EQ(read_file(dir + "application.conf"), write_application(app));
+  EXPECT_EQ(read_file(dir + "timers.conf"), write_timers(timers));
+
+  const RunSpec spec = load_run_spec(dir + "topology.conf",
+                                     dir + "application.conf",
+                                     dir + "timers.conf");
+  EXPECT_EQ(write_topology(spec.topology), write_topology(topo));
+  EXPECT_EQ(write_application(spec.application), write_application(app));
+  EXPECT_EQ(write_timers(spec.timers), write_timers(timers));
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(spec.application.clusters[c].mean_compute,
+              app.clusters[c].mean_compute);
+    EXPECT_EQ(spec.application.clusters[c].traffic, app.clusters[c].traffic);
+    EXPECT_EQ(spec.timers.clusters[c].clc_period, minutes(30));
+  }
+  EXPECT_TRUE(spec.timers.gc_period.is_infinite());
+}
+
+// Each name vocabulary has one parser; every spelling any CLI or file
+// documents must reach it.
+TEST(NameVocabulary, EveryProtocolParsesFromEachSpelling) {
+  using driver::ProtocolKind;
+  const std::pair<const char*, ProtocolKind> kSpellings[] = {
+      {"hc3i", ProtocolKind::kHc3i},
+      {"independent", ProtocolKind::kIndependent},
+      {"coordinated-global", ProtocolKind::kCoordinatedGlobal},
+      {"global", ProtocolKind::kCoordinatedGlobal},
+      {"hierarchical-coordinated", ProtocolKind::kHierarchicalCoordinated},
+      {"hier", ProtocolKind::kHierarchicalCoordinated},
+      {"pessimistic-log", ProtocolKind::kPessimisticLog},
+      {"pessimistic", ProtocolKind::kPessimisticLog},
+  };
+  std::set<ProtocolKind> reached;
+  for (const auto& [name, kind] : kSpellings) {
+    EXPECT_EQ(driver::parse_protocol(name), kind) << name;
+    reached.insert(kind);
+  }
+  EXPECT_EQ(reached.size(), 5u) << "a ProtocolKind has no spelling";
+  for (const char* bad : {"", "HC3I", "Global", "hier ", "pessimistic-logs",
+                          "coordinated"}) {
+    EXPECT_FALSE(driver::parse_protocol(bad).has_value()) << bad;
+  }
+}
+
+TEST(NameVocabulary, EveryStorageKindParsesFromItsSpelling) {
+  const std::pair<const char*, StorageSpec::Kind> kSpellings[] = {
+      {"none", StorageSpec::Kind::kNone},
+      {"local-disk", StorageSpec::Kind::kLocalDisk},
+      {"striped-remote", StorageSpec::Kind::kStripedRemote},
+  };
+  for (const auto& [name, kind] : kSpellings) {
+    EXPECT_EQ(parse_storage_kind(name), kind) << name;
+  }
+  for (const char* bad : {"", "None", "local", "striped", "carrier-pigeon"}) {
+    EXPECT_FALSE(parse_storage_kind(bad).has_value()) << bad;
+  }
+  // A topology file's storage key goes through it too.
+  EXPECT_THROW(parse_topology("[federation]\nclusters = 1\n[cluster 0]\n"
+                              "nodes = 2\nlatency = 1us\n"
+                              "bandwidth = 1Mb/s\nstorage = local\n"),
+               ParseError);
 }
 
 }  // namespace
