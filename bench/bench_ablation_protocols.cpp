@@ -1,7 +1,7 @@
-// Ablation A2/A3 (DESIGN.md): HC3I against the baselines on the same
-// failure-injected workload — checkpoint counts, network overhead, rollback
-// scope, rollback depth, lost work.  This quantifies the comparisons the
-// paper makes qualitatively in §2.2 and §6.
+// Ablation A2/A3 (docs/paper_map.md): HC3I against the baselines on the
+// same failure-injected workload — checkpoint counts, network overhead,
+// rollback scope, rollback depth, lost work.  This quantifies the
+// comparisons the paper makes qualitatively in §2.2 and §6.
 
 #include "bench_common.hpp"
 

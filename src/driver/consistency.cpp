@@ -50,12 +50,35 @@ void append_cluster_agreement_violations(const core::Hc3iRuntime& rt,
                       ": CLC SNs not strictly increasing");
       }
     }
+
+    // Running aggregates against a full recount.  Checked once per run:
+    // the hot paths read the aggregates on every commit and send, so a
+    // per-update recount would undo them.
+    const proto::ClcStore& store = rt.store(cid);
+    if (store.storage_bytes() != store.recount_bytes()) {
+      out.push_back("cluster " + std::to_string(c) + ": store byte total " +
+                    std::to_string(store.storage_bytes()) + " != recount " +
+                    std::to_string(store.recount_bytes()));
+    }
+    core::LogTotals logs;
+    for (const core::Hc3iAgent* a : agents) {
+      logs.entries += a->log_size();
+      logs.unacked += a->msg_log().unacked_count();
+    }
+    const core::LogTotals& kept = rt.log_totals(cid);
+    if (kept.entries != logs.entries || kept.unacked != logs.unacked) {
+      out.push_back("cluster " + std::to_string(c) + ": log totals " +
+                    std::to_string(kept.entries) + "/" +
+                    std::to_string(kept.unacked) + " != recount " +
+                    std::to_string(logs.entries) + "/" +
+                    std::to_string(logs.unacked) + " (entries/unacked)");
+    }
   }
 
   // In failure-free runs, no cluster can have observed an SN the sender
   // never committed: DDV_j[i] <= SN_i.  (After rollbacks this bound can
-  // transiently overshoot by design — see DESIGN.md §3 — so it is only
-  // checked when no rollback happened.)
+  // transiently overshoot by design — see docs/architecture.md, refinement
+  // R7 — so it is only checked when no rollback happened.)
   if (expect_ddv_agreement && rt.fed_rollback_epoch() == 0) {
     for (std::size_t j = 0; j < rt.cluster_count(); ++j) {
       const auto& agents = rt.cluster_agents(ClusterId{static_cast<std::uint32_t>(j)});

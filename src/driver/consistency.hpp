@@ -19,7 +19,9 @@ namespace hc3i::driver {
 ///   * all agents of a cluster agree on SN, DDV and incarnation, unless a
 ///     2PC round is in flight at the observation instant;
 ///   * every stored CLC has DDV[self] == its SN and SN strictly increasing;
-///   * DDV entries never exceed the referenced cluster's current SN.
+///   * DDV entries never exceed the referenced cluster's current SN;
+///   * the store's running byte total and the runtime's per-cluster
+///     sender-log totals equal a full recount.
 /// `expect_ddv_agreement` is false for the independent baseline, whose
 /// nodes legitimately diverge on DDV entries between commits (lazy
 /// delivery-time updates).

@@ -72,11 +72,16 @@ SimTime Hc3iAgent::state_restore_delay() const {
   return delay;
 }
 
+void Hc3iAgent::sync_log_totals() {
+  const LogTotals now{log_.size(), log_.unacked_count()};
+  rt_.update_log_totals(cluster(), counted_log_, now);
+  counted_log_ = now;
+}
+
 void Hc3iAgent::note_log_highwater() {
-  stat(stat_log_max_entries_, "log.max_entries")
-      .raise(rt_.cluster_log_entries(cluster()));
-  stat(stat_log_max_unacked_, "log.max_unacked")
-      .raise(rt_.cluster_unacked_log_entries(cluster()));
+  const LogTotals& totals = rt_.log_totals(cluster());
+  stat(stat_log_max_entries_, "log.max_entries").raise(totals.entries);
+  stat(stat_log_max_unacked_, "log.max_unacked").raise(totals.unacked);
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +172,7 @@ void Hc3iAgent::do_send(NodeId dst, std::uint64_t bytes,
   if (inter) {
     // Optimistic sender-side log (paper §3.3).
     log_.add(sent);
+    sync_log_totals();
     note_log_highwater();
   }
 }
@@ -186,7 +192,7 @@ void Hc3iAgent::on_message(const net::Envelope& env) {
 void Hc3iAgent::on_app_message(const net::Envelope& env) {
   if (!env.intra_cluster() && is_stale(env)) {
     // A pre-rollback message from an undone epoch of the sender; the new
-    // incarnation will re-send it (DESIGN.md §3.5).
+    // incarnation will re-send it (docs/architecture.md, refinement R1).
     ctx_.registry->inc("cic.stale_dropped");
     return;
   }
@@ -498,12 +504,12 @@ void Hc3iAgent::coordinator_commit_round() {
     // Channel state: intra-cluster application messages that are in the
     // network, parked, or held in a node's deferred queue at this instant.
     // (A real implementation gathers the same set with flush markers over
-    // the FIFO SAN; see DESIGN.md §3.)
+    // the FIFO SAN; see docs/architecture.md, refinement R5.)
     const ClusterId c = cluster();
-    rec.channel = ctx_.network->snapshot_in_flight([c](const net::Envelope& e) {
-      return e.cls == net::MsgClass::kApp && e.src_cluster == c &&
-             e.dst_cluster == c;
-    });
+    rec.channel =
+        ctx_.network->snapshot_in_flight(c, [](const net::Envelope& e) {
+          return e.cls == net::MsgClass::kApp && e.intra_cluster();
+        });
     for (const Hc3iAgent* peer : rt_.cluster_agents(c)) {
       for (const net::Envelope& e : peer->deferred_) {
         if (e.intra_cluster()) rec.channel.push_back(e);
@@ -580,6 +586,7 @@ void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
 
 void Hc3iAgent::handle_inter_ack(const InterAck& m) {
   log_.record_ack(m.msg, m.ack_sn, m.ack_inc);
+  sync_log_totals();
 }
 
 // ---------------------------------------------------------------------------
@@ -633,9 +640,8 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
   //    reachable with concurrent per-cluster recoveries) would silently
   //    orphan this node's logged sends into f: no retransmit path exists,
   //    and the ledger would report them as lost.
-  ctx_.network->drop_in_flight([c](const net::Envelope& e) {
-    if (!(e.src_cluster == c && e.dst_cluster == c)) return false;
-    return payload_as<AlertRelay>(e) == nullptr &&
+  ctx_.network->drop_in_flight(c, [](const net::Envelope& e) {
+    return e.intra_cluster() && payload_as<AlertRelay>(e) == nullptr &&
            payload_as<RollbackAlert>(e) == nullptr;
   });
 
@@ -729,6 +735,7 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   } else {
     log_.truncate_from(rec.sn);
   }
+  sync_log_totals();
   wait_force_.clear();
   deferred_.clear();
   queued_sends_.clear();
@@ -807,7 +814,10 @@ void Hc3iAgent::handle_alert_relay(const AlertRelay& m) {
     const net::Envelope fresh = resend_app(env);
     log_.add(fresh);
   }
-  if (!resends.empty()) note_log_highwater();
+  if (!resends.empty()) {
+    sync_log_totals();
+    note_log_highwater();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -910,6 +920,7 @@ void Hc3iAgent::handle_gc_prune(const GcPrune& m) {
     removed +=
         log_.prune(ClusterId{static_cast<std::uint32_t>(d)}, m.min_sns[d]);
   }
+  sync_log_totals();
   if (removed > 0) ctx_.registry->inc("gc.log_entries_removed", removed);
 }
 

@@ -21,11 +21,12 @@
 //         replay logged messages.
 //   §3.5  Centralized garbage collection of CLCs and logs.
 //
-// Implementation refinements beyond the paper's prose (DESIGN.md §3):
-// cluster incarnation numbers to filter stale in-flight messages, channel-
-// state capture of intra-cluster in-flight messages at commit, checkpointed
-// copies of the sender log so a failed node recovers its log, and receiver-
-// side de-duplication of re-sent inter-cluster messages.
+// Implementation refinements beyond the paper's prose (docs/architecture.md,
+// refinements R1-R6): cluster incarnation numbers to filter stale in-flight
+// messages, channel-state capture of intra-cluster in-flight messages at
+// commit, checkpointed copies of the sender log so a failed node recovers
+// its log, and receiver-side de-duplication of re-sent inter-cluster
+// messages.
 //
 // Three protected virtual hooks (the communication-induced forcing rule,
 // the rollback-necessity test and the rollback-target rule) let the
@@ -147,6 +148,9 @@ class Hc3iAgent : public proto::AgentBase {
   proto::ClcStore& store() { return rt_.store(cluster()); }
   const proto::ClcStore& store() const { return rt_.store(cluster()); }
   SimTime state_restore_delay() const;
+  /// Report this node's sender-log change since the last call to the
+  /// runtime's per-cluster totals.  Called after every log_ mutation.
+  void sync_log_totals();
   void note_log_highwater();
 
  protected:
@@ -159,6 +163,7 @@ class Hc3iAgent : public proto::AgentBase {
  private:
   // Node-local protocol state.
   proto::MsgLog log_;
+  LogTotals counted_log_;                   ///< log_ as last reported to rt_
   proto::DedupSet dedup_;                   ///< delivered inter app_seqs
                                             ///< (hashed membership; sorted
                                             ///< shared image at capture)

@@ -10,8 +10,7 @@ Hc3iRuntime::Hc3iRuntime(const config::RunSpec& spec, Hc3iOptions opts)
     : spec_(spec), opts_(opts) {
   spec_.validate();
   const std::size_t n = spec_.topology.cluster_count();
-  incarnations_.assign(n, 0);
-  fault_recovery_owed_.assign(n, 0);
+  clusters_.resize(n);
   agents_.resize(n);
   stores_.reserve(n);
   for (std::size_t c = 0; c < n; ++c) {
@@ -52,38 +51,24 @@ const proto::ClcStore& Hc3iRuntime::store(ClusterId c) const {
 }
 
 Incarnation Hc3iRuntime::incarnation(ClusterId c) const {
-  HC3I_CHECK(c.v < incarnations_.size(), "incarnation: bad cluster");
-  return incarnations_[c.v];
+  HC3I_CHECK(c.v < clusters_.size(), "incarnation: bad cluster");
+  return clusters_[c.v].incarnation;
 }
 
 Incarnation Hc3iRuntime::bump_incarnation(ClusterId c) {
-  HC3I_CHECK(c.v < incarnations_.size(), "bump_incarnation: bad cluster");
-  return ++incarnations_[c.v];
+  HC3I_CHECK(c.v < clusters_.size(), "bump_incarnation: bad cluster");
+  return ++clusters_[c.v].incarnation;
 }
 
 std::uint64_t Hc3iRuntime::fed_rollback_epoch() const {
   std::uint64_t sum = 0;
-  for (const Incarnation i : incarnations_) sum += i;
+  for (const ClusterState& c : clusters_) sum += c.incarnation;
   return sum;
 }
 
 const std::vector<Hc3iAgent*>& Hc3iRuntime::cluster_agents(ClusterId c) const {
   HC3I_CHECK(c.v < agents_.size(), "cluster_agents: bad cluster");
   return agents_[c.v];
-}
-
-std::size_t Hc3iRuntime::cluster_log_entries(ClusterId c) const {
-  std::size_t total = 0;
-  for (const Hc3iAgent* a : cluster_agents(c)) total += a->log_size();
-  return total;
-}
-
-std::size_t Hc3iRuntime::cluster_unacked_log_entries(ClusterId c) const {
-  std::size_t total = 0;
-  for (const Hc3iAgent* a : cluster_agents(c)) {
-    total += a->msg_log().unacked_count();
-  }
-  return total;
 }
 
 void Hc3iRuntime::record_gc(SimTime t, ClusterId c, std::size_t before,

@@ -4,10 +4,12 @@
 //
 // The runtime owns what is logically *cluster-level* rather than node-level:
 // the stable-storage checkpoint store of each cluster (paper §3.1), the
-// cluster incarnation counters (DESIGN.md §3.5), and the garbage-collection
-// history the evaluation tables report.  It also gives the cluster
-// coordinator direct access to its cluster's agents for two simulator
-// shortcuts documented in DESIGN.md §3:
+// cluster incarnation counters (docs/architecture.md, refinement R1), the
+// garbage-collection history the evaluation tables report, and running
+// per-cluster sender-log totals for the §5.4 high-waters.  It also gives the
+// cluster coordinator direct access to its cluster's agents for two
+// simulator shortcuts documented in docs/architecture.md (refinements R5,
+// R6):
 //
 //   * channel-state capture at CLC commit reads each node's held-back
 //     arrivals (a real implementation would gather the same information
@@ -40,6 +42,13 @@ struct GcEvent {
   ClusterId cluster{};
   std::size_t clcs_before{0};
   std::size_t clcs_after{0};
+};
+
+/// Sender-log sizes summed over the nodes of one cluster (the paper's §5.4
+/// "logged messages" high-waters read these).
+struct LogTotals {
+  std::size_t entries{0};  ///< live log entries
+  std::size_t unacked{0};  ///< entries whose ack has not arrived
 };
 
 /// Shared protocol state for one simulation run.
@@ -88,10 +97,21 @@ class Hc3iRuntime {
   /// Agents of one cluster, in node order (available once built).
   const std::vector<Hc3iAgent*>& cluster_agents(ClusterId c) const;
 
-  /// Total sender-log entries currently held by a cluster's nodes.
-  std::size_t cluster_log_entries(ClusterId c) const;
-  /// Unacknowledged sender-log entries across a cluster's nodes.
-  std::size_t cluster_unacked_log_entries(ClusterId c) const;
+  /// Running sender-log totals of a cluster's nodes — O(1).  Each agent
+  /// reports every change of its own log through update_log_totals(); the
+  /// end-of-run audit recounts them from the agents.
+  const LogTotals& log_totals(ClusterId c) const {
+    HC3I_CHECK(c.v < clusters_.size(), "log_totals: bad cluster");
+    return clusters_[c.v].logs;
+  }
+  /// Replace one agent's contribution to cluster `c`'s totals: `was` is
+  /// what it last reported, `now` its current log.
+  void update_log_totals(ClusterId c, LogTotals was, LogTotals now) {
+    HC3I_CHECK(c.v < clusters_.size(), "update_log_totals: bad cluster");
+    LogTotals& t = clusters_[c.v].logs;
+    t.entries = t.entries - was.entries + now.entries;
+    t.unacked = t.unacked - was.unacked + now.unacked;
+  }
 
   /// Record a GC outcome (called by each cluster's GC handler).
   void record_gc(SimTime t, ClusterId c, std::size_t before,
@@ -105,29 +125,33 @@ class Hc3iRuntime {
   /// through a *different* agent of the same cluster; whichever resume
   /// survives at the latest incarnation consumes the flag.
   void set_fault_recovery_owed(ClusterId c) {
-    HC3I_CHECK(c.v < fault_recovery_owed_.size(),
-               "set_fault_recovery_owed: bad cluster");
-    fault_recovery_owed_[c.v] = 1;
+    HC3I_CHECK(c.v < clusters_.size(), "set_fault_recovery_owed: bad cluster");
+    clusters_[c.v].fault_recovery_owed = true;
   }
   /// Consume the owed-recovery flag of cluster `c`; returns whether it was
   /// set.
   bool take_fault_recovery_owed(ClusterId c) {
-    HC3I_CHECK(c.v < fault_recovery_owed_.size(),
-               "take_fault_recovery_owed: bad cluster");
-    const bool owed = fault_recovery_owed_[c.v] != 0;
-    fault_recovery_owed_[c.v] = 0;
+    HC3I_CHECK(c.v < clusters_.size(), "take_fault_recovery_owed: bad cluster");
+    const bool owed = clusters_[c.v].fault_recovery_owed;
+    clusters_[c.v].fault_recovery_owed = false;
     return owed;
   }
 
  private:
+  /// Mutable per-cluster protocol state.
+  struct ClusterState {
+    Incarnation incarnation{0};
+    bool fault_recovery_owed{false};
+    LogTotals logs;
+  };
+
   config::RunSpec spec_;
   Hc3iOptions opts_;
   std::vector<std::unique_ptr<proto::ClcStore>> stores_;
   std::vector<std::unique_ptr<storage::Backend>> backends_;  ///< per cluster
-  std::vector<Incarnation> incarnations_;
   std::vector<std::vector<Hc3iAgent*>> agents_;  ///< [cluster][local index]
   std::vector<GcEvent> gc_events_;
-  std::vector<std::uint8_t> fault_recovery_owed_;  ///< per cluster, 0/1
+  std::vector<ClusterState> clusters_;
 };
 
 }  // namespace hc3i::core

@@ -16,16 +16,18 @@
 //
 // The in-flight registry gives the checkpointing layer two primitives the
 // paper leaves implicit but any implementation needs:
-//   * snapshot_in_flight(pred) — capture channel state at CLC commit,
-//   * drop_in_flight(pred)     — discard a rolled-back cluster's stale
-//                                intra-cluster traffic.
+//   * snapshot_in_flight(src, pred) — capture channel state at CLC commit,
+//   * drop_in_flight(src, pred)     — discard a rolled-back cluster's stale
+//                                     intra-cluster traffic.
 //
 // Every message crosses this layer, so its bookkeeping is slot-indexed: a
 // flight lives in a recycled slab slot (O(1) add/remove, no per-message node
-// allocation), parked messages hang off a per-node intrusive list (reviving a
-// node is O(parked-for-that-node), not O(all in flight)), and the traffic
-// census bumps pre-resolved stats::Counter handles instead of building
-// name strings per send.
+// allocation), every live flight hangs off its source cluster's intrusive
+// list (capture and drop are O(that cluster's in-flight), not O(all in
+// flight)), parked messages also hang off a per-node intrusive list
+// (reviving a node is O(parked-for-that-node)), and the traffic census bumps
+// pre-resolved stats::Counter handles instead of building name strings per
+// send.
 
 #include <functional>
 #include <vector>
@@ -40,6 +42,9 @@ namespace hc3i::net {
 
 /// Delivery callback: invoked at arrival time with the envelope.
 using DeliverFn = std::function<void(const Envelope&)>;
+
+/// Selects flights for snapshot_in_flight / drop_in_flight.
+using FlightFilter = bool (*)(const Envelope&);
 
 /// The message-passing fabric of the federation.
 class Network {
@@ -62,15 +67,21 @@ class Network {
   /// True if the node is currently up.
   bool node_up(NodeId n) const;
 
-  /// Copy every in-flight (sent, not yet arrived, plus parked) envelope
-  /// matching `pred`, in MsgId (send) order. Used for CLC channel-state
-  /// capture.
-  std::vector<Envelope> snapshot_in_flight(
-      const std::function<bool(const Envelope&)>& pred) const;
+  /// Copy every in-flight (sent, not yet arrived, plus parked) envelope sent
+  /// from cluster `src` that matches `pred`, in MsgId (send) order. Used for
+  /// CLC channel-state capture; costs O(src's in-flight).
+  std::vector<Envelope> snapshot_in_flight(ClusterId src,
+                                           FlightFilter pred) const;
+  /// The same over every cluster, merged in MsgId order (the global
+  /// baseline's federation-wide capture).
+  std::vector<Envelope> snapshot_in_flight(FlightFilter pred) const;
 
-  /// Remove every in-flight/parked envelope matching `pred`; returns how
-  /// many were dropped. Used when a cluster rolls back.
-  std::size_t drop_in_flight(const std::function<bool(const Envelope&)>& pred);
+  /// Remove every in-flight/parked envelope sent from cluster `src` that
+  /// matches `pred`; returns how many were dropped. Used when a cluster
+  /// rolls back.
+  std::size_t drop_in_flight(ClusterId src, FlightFilter pred);
+  /// The same over every cluster.
+  std::size_t drop_in_flight(FlightFilter pred);
 
   /// Number of messages currently in flight or parked.
   std::size_t in_flight_count() const { return live_flights_; }
@@ -94,8 +105,16 @@ class Network {
     std::uint32_t gen{1};     ///< bumped when the slot is recycled
     std::uint32_t park_prev{kNil};  ///< intrusive per-destination parked list
     std::uint32_t park_next{kNil};
+    std::uint32_t src_prev{kNil};   ///< intrusive per-source-cluster list
+    std::uint32_t src_next{kNil};   ///< (live flights, in MsgId order)
     bool live{false};
     bool parked{false};
+  };
+
+  /// Head and tail slots of an intrusive flight list.
+  struct ListEnds {
+    std::uint32_t head{kNil};
+    std::uint32_t tail{kNil};
   };
 
   /// Pre-resolved census handles for one (class, direction) bucket.
@@ -108,6 +127,10 @@ class Network {
   void count_send(const Envelope& env);
   std::uint32_t alloc_flight();
   void release_flight(std::uint32_t slot);
+  /// A flight's prev/next links for one of its two intrusive lists.
+  using Link = std::uint32_t Flight::*;
+  void list_append(ListEnds& list, std::uint32_t slot, Link prev, Link next);
+  void list_remove(ListEnds& list, std::uint32_t slot, Link prev, Link next);
   void park(std::uint32_t slot);
   void unpark(std::uint32_t slot);
 
@@ -118,8 +141,8 @@ class Network {
   std::vector<bool> up_;               ///< indexed by NodeId
   std::vector<Flight> flights_;        ///< slot-indexed flight table
   std::vector<std::uint32_t> free_flights_;  ///< recycled slots
-  std::vector<std::uint32_t> park_head_;     ///< per-node parked list head
-  std::vector<std::uint32_t> park_tail_;     ///< per-node parked list tail
+  std::vector<ListEnds> parked_;             ///< per-node parked list
+  std::vector<ListEnds> by_src_;             ///< per-source-cluster flights
   std::size_t live_flights_{0};
   std::uint64_t next_msg_id_{1};
 

@@ -6,6 +6,27 @@
 
 namespace hc3i::proto {
 
+namespace {
+
+// Modelled bytes of one copy of a record (replicas multiply it).
+// `log_bytes` prices a part's checkpointed sender log: the image's O(1)
+// aggregate on commit, a per-entry walk in the audit recount.
+template <class LogBytes>
+std::uint64_t copy_bytes(const ClcRecord& r, LogBytes log_bytes) {
+  std::uint64_t bytes = 0;
+  for (const auto& p : r.parts) {
+    // Incremental captures store the touched-range delta, full captures
+    // the whole state image.
+    bytes += p.app.incremental ? p.app.delta_bytes : p.app.state_bytes;
+    bytes += p.dedup.size() * sizeof(std::uint64_t);
+    bytes += log_bytes(p.log);
+  }
+  for (const auto& ch : r.channel) bytes += ch.wire_bytes();
+  return bytes;
+}
+
+}  // namespace
+
 ClcStore::ClcStore(ClusterId cluster, std::uint32_t nodes,
                    std::uint32_t replication)
     : cluster_(cluster), nodes_(nodes), replication_(replication) {
@@ -21,6 +42,10 @@ void ClcStore::commit(ClcRecord rec) {
              "ClcStore: SNs must be strictly increasing");
   HC3I_CHECK(rec.ddv.at(cluster_) == rec.sn,
              "ClcStore: own DDV entry must equal the record SN");
+  rec.stored_bytes =
+      copy_bytes(rec, [](const LogImage& log) { return log.wire_bytes(); }) *
+      (1 + replication_);
+  total_bytes_ += rec.stored_bytes;
   records_.push_back(std::move(rec));
 }
 
@@ -45,21 +70,27 @@ const ClcRecord* ClcStore::find(SeqNum sn) const {
 }
 
 std::size_t ClcStore::truncate_after(SeqNum sn) {
-  const std::size_t before = records_.size();
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const ClcRecord& r) { return r.sn > sn; }),
-      records_.end());
-  return before - records_.size();
+  // SNs are strictly increasing, so the dropped records form a suffix.
+  const auto first = std::partition_point(
+      records_.begin(), records_.end(),
+      [&](const ClcRecord& r) { return r.sn <= sn; });
+  return erase_range(first, records_.end());
 }
 
 std::size_t ClcStore::prune_before(SeqNum min_sn) {
-  const std::size_t before = records_.size();
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const ClcRecord& r) { return r.sn < min_sn; }),
-      records_.end());
-  return before - records_.size();
+  // SNs are strictly increasing, so the dropped records form a prefix.
+  const auto last = std::partition_point(
+      records_.begin(), records_.end(),
+      [&](const ClcRecord& r) { return r.sn < min_sn; });
+  return erase_range(records_.begin(), last);
+}
+
+std::size_t ClcStore::erase_range(std::vector<ClcRecord>::iterator first,
+                                  std::vector<ClcRecord>::iterator last) {
+  for (auto it = first; it != last; ++it) total_bytes_ -= it->stored_bytes;
+  const auto removed = static_cast<std::size_t>(last - first);
+  records_.erase(first, last);
+  return removed;
 }
 
 std::uint64_t ClcStore::chain_read_bytes(SeqNum sn,
@@ -91,19 +122,15 @@ std::uint64_t ClcStore::chain_read_bytes(SeqNum sn,
   return total;
 }
 
-std::uint64_t ClcStore::storage_bytes() const {
+std::uint64_t ClcStore::recount_bytes() const {
+  const auto walk_log = [](const LogImage& log) {
+    std::uint64_t bytes = 0;
+    for (const auto& e : log.entries()) bytes += e.env.wire_bytes();
+    return bytes;
+  };
   std::uint64_t total = 0;
   for (const auto& r : records_) {
-    std::uint64_t rec_bytes = 0;
-    for (const auto& p : r.parts) {
-      // Incremental captures store the touched-range delta, full captures
-      // the whole state image.
-      rec_bytes += p.app.incremental ? p.app.delta_bytes : p.app.state_bytes;
-      rec_bytes += p.dedup.size() * sizeof(std::uint64_t);
-      for (const auto& e : p.log.entries()) rec_bytes += e.env.wire_bytes();
-    }
-    for (const auto& ch : r.channel) rec_bytes += ch.wire_bytes();
-    total += rec_bytes * (1 + replication_);
+    total += copy_bytes(r, walk_log) * (1 + replication_);
   }
   return total;
 }

@@ -41,6 +41,8 @@ struct ClcRecord {
   bool forced{false};           ///< forced (communication-induced) vs timer
   std::vector<NodePart> parts;  ///< indexed by cluster-local node index
   std::vector<net::Envelope> channel;  ///< in-flight intra msgs at commit
+  std::uint64_t stored_bytes{0};  ///< modelled bytes incl. replicas; set by
+                                  ///< ClcStore::commit
 };
 
 /// The retained CLCs of one cluster, ordered by SN (strictly increasing).
@@ -87,8 +89,15 @@ class ClcStore {
 
   /// Total modelled storage bytes across the cluster (states + channel
   /// captures + checkpointed logs, including replicas).  Incremental
-  /// captures count their delta, not the full state image.
-  std::uint64_t storage_bytes() const;
+  /// captures count their delta, not the full state image.  O(1): a running
+  /// total kept by commit/truncate_after/prune_before (the high-water
+  /// instrumentation reads it on every commit).
+  std::uint64_t storage_bytes() const { return total_bytes_; }
+
+  /// The same total recomputed from every retained record, part and logged
+  /// message — O(store).  For the end-of-run audit and tests only; it must
+  /// always equal storage_bytes().
+  std::uint64_t recount_bytes() const;
 
   /// Bytes node `node_idx` must read back to restore from the CLC with
   /// SN `sn`: its part of that record plus every older delta back to (and
@@ -101,10 +110,15 @@ class ClcStore {
   std::uint32_t replication() const { return replication_; }
 
  private:
+  /// Erase records_[first, last) and subtract their bytes from the total.
+  std::size_t erase_range(std::vector<ClcRecord>::iterator first,
+                          std::vector<ClcRecord>::iterator last);
+
   ClusterId cluster_;
   std::uint32_t nodes_;
   std::uint32_t replication_;
   std::vector<ClcRecord> records_;
+  std::uint64_t total_bytes_{0};  ///< Σ records_[i].stored_bytes
 };
 
 }  // namespace hc3i::proto

@@ -12,32 +12,46 @@ void MsgLog::detach() {
   // from one) still references the buffer; clone before mutating so the
   // image stays frozen at its capture state.  Single-threaded use_count is
   // exact.
-  if (!entries_) {
-    entries_ = std::make_shared<std::vector<LogEntry>>();
-  } else if (entries_.use_count() > 1) {
-    entries_ = std::make_shared<std::vector<LogEntry>>(*entries_);
+  if (!buf_) {
+    buf_ = std::make_shared<LogBuffer>();
+  } else if (buf_.use_count() > 1) {
+    buf_ = std::make_shared<LogBuffer>(*buf_);
   }
+}
+
+template <class Pred>
+void MsgLog::erase_if(Pred pred) {
+  detach();
+  std::vector<LogEntry>& entries = buf_->entries;
+  for (const auto& e : entries) {
+    if (!pred(e)) continue;
+    buf_->wire_bytes -= e.env.wire_bytes();
+    if (!e.acked) --unacked_;
+  }
+  entries.erase(std::remove_if(entries.begin(), entries.end(), pred),
+                entries.end());
 }
 
 void MsgLog::add(const net::Envelope& env) {
   HC3I_CHECK(!env.intra_cluster(), "MsgLog: only inter-cluster messages are logged");
-  HC3I_CHECK(size() == 0 || entries_->back().env.id.v < env.id.v,
+  HC3I_CHECK(size() == 0 || buf_->entries.back().env.id.v < env.id.v,
              "MsgLog: sends must arrive in MsgId order");
   detach();
-  entries_->push_back(LogEntry{env, false, 0, 0});
+  buf_->entries.push_back(LogEntry{env, false, 0, 0});
+  buf_->wire_bytes += env.wire_bytes();
   ++unacked_;
 }
 
 void MsgLog::record_ack(MsgId id, SeqNum ack_sn, Incarnation ack_inc) {
   // Locate first; an unknown id must not pay the copy-on-write barrier.
-  if (!entries_) return;
+  const std::vector<LogEntry>& live = entries();
   const auto it = std::lower_bound(
-      entries_->begin(), entries_->end(), id,
+      live.begin(), live.end(), id,
       [](const LogEntry& e, MsgId target) { return e.env.id.v < target.v; });
-  if (it == entries_->end() || !(it->env.id == id)) return;
-  const std::size_t idx = static_cast<std::size_t>(it - entries_->begin());
+  if (it == live.end() || !(it->env.id == id)) return;
+  const std::size_t idx = static_cast<std::size_t>(it - live.begin());
   detach();
-  LogEntry& e = (*entries_)[idx];
+  LogEntry& e = buf_->entries[idx];
   if (!e.acked) --unacked_;
   e.acked = true;
   e.ack_sn = ack_sn;
@@ -48,7 +62,6 @@ std::vector<net::Envelope> MsgLog::take_resends(ClusterId dst,
                                                 SeqNum restored_sn,
                                                 Incarnation new_inc) {
   std::vector<net::Envelope> out;
-  if (!entries_) return out;
   auto needs_resend = [&](const LogEntry& e) {
     if (e.env.dst_cluster != dst) return false;
     if (!e.acked) return true;
@@ -59,64 +72,39 @@ std::vector<net::Envelope> MsgLog::take_resends(ClusterId dst,
     // epoch strictly before the restored checkpoint.
     return e.ack_sn >= restored_sn;
   };
-  for (const auto& e : *entries_) {
+  for (const auto& e : entries()) {
     if (needs_resend(e)) out.push_back(e.env);
   }
-  if (out.empty()) return out;
-  detach();
-  entries_->erase(
-      std::remove_if(entries_->begin(), entries_->end(), needs_resend),
-      entries_->end());
-  recount_unacked();
+  if (!out.empty()) erase_if(needs_resend);
   return out;
 }
 
 std::size_t MsgLog::truncate_from(SeqNum restored_sn) {
-  if (!entries_) return 0;
   const auto undone = [&](const LogEntry& e) {
     return e.env.piggy.sn >= restored_sn;
   };
-  const std::size_t before = entries_->size();
-  if (std::none_of(entries_->begin(), entries_->end(), undone)) return 0;
-  detach();
-  entries_->erase(std::remove_if(entries_->begin(), entries_->end(), undone),
-                  entries_->end());
-  recount_unacked();
-  return before - entries_->size();
+  const std::size_t before = size();
+  if (std::none_of(entries().begin(), entries().end(), undone)) return 0;
+  erase_if(undone);
+  return before - size();
 }
 
 std::size_t MsgLog::prune(ClusterId dst, SeqNum min_sn) {
-  if (!entries_) return 0;
   const auto stable = [&](const LogEntry& e) {
     return e.env.dst_cluster == dst && e.acked && e.ack_sn < min_sn;
   };
-  const std::size_t before = entries_->size();
-  if (std::none_of(entries_->begin(), entries_->end(), stable)) return 0;
-  detach();
-  entries_->erase(std::remove_if(entries_->begin(), entries_->end(), stable),
-                  entries_->end());
-  // Pruned entries were all acked, so unacked_ is unchanged.
-  return before - entries_->size();
+  const std::size_t before = size();
+  if (std::none_of(entries().begin(), entries().end(), stable)) return 0;
+  erase_if(stable);
+  return before - size();
 }
 
 void MsgLog::restore(const LogImage& image) {
   // Adopt the shared buffer (or the empty state); detach() protects the
   // image (and any other adopter) if this log mutates later.
-  entries_ = std::const_pointer_cast<std::vector<LogEntry>>(image.data_);
-  recount_unacked();
-}
-
-void MsgLog::recount_unacked() {
+  buf_ = std::const_pointer_cast<LogBuffer>(image.data_);
   unacked_ = 0;
   for (const auto& e : entries()) unacked_ += e.acked ? 0 : 1;
-}
-
-std::uint64_t MsgLog::bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& e : entries()) {
-    total += e.env.wire_bytes() + sizeof(SeqNum) + sizeof(Incarnation);
-  }
-  return total;
 }
 
 }  // namespace hc3i::proto

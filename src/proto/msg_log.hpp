@@ -7,10 +7,10 @@
 // the sender does not rollback).  The message is acknowledged with the
 // receiver's SN which is logged along with the message itself."
 //
-// Entries record the acknowledging incarnation too (DESIGN.md §3.4-3.5):
-// after a rollback alert (f, restored_sn, new_inc) the sender re-sends the
-// logged messages to f that are unacknowledged, or whose ack came from a
-// pre-rollback incarnation with ack SN >= restored_sn.
+// Entries record the acknowledging incarnation too (docs/architecture.md,
+// refinement R2): after a rollback alert (f, restored_sn, new_inc) the
+// sender re-sends the logged messages to f that are unacknowledged, or whose
+// ack came from a pre-rollback incarnation with ack SN >= restored_sn.
 
 #include <cstdint>
 #include <memory>
@@ -29,6 +29,12 @@ struct LogEntry {
   Incarnation ack_inc{0};     ///< receiver cluster's incarnation at delivery
 };
 
+/// The storage a MsgLog shares with its captured images.
+struct LogBuffer {
+  std::vector<LogEntry> entries;
+  std::uint64_t wire_bytes{0};  ///< Σ entries[i].env.wire_bytes()
+};
+
 /// An immutable shared snapshot of a sender log, captured at CLC time.
 ///
 /// Capturing is O(1): the image shares the log's backing storage, and the
@@ -44,9 +50,12 @@ class LogImage {
   /// The captured entries (empty for a default-constructed image).
   const std::vector<LogEntry>& entries() const {
     static const std::vector<LogEntry> kEmpty;
-    return data_ ? *data_ : kEmpty;
+    return data_ ? data_->entries : kEmpty;
   }
-  std::size_t size() const { return data_ ? data_->size() : 0; }
+  std::size_t size() const { return data_ ? data_->entries.size() : 0; }
+  /// Σ env.wire_bytes() over the captured entries — O(1): the sum lives in
+  /// the shared buffer, so the image itself stays one pointer pair.
+  std::uint64_t wire_bytes() const { return data_ ? data_->wire_bytes : 0; }
 
   /// True when two images share one backing buffer (tests assert the
   /// capture-twice-without-mutation case stays shared).
@@ -56,10 +65,10 @@ class LogImage {
 
  private:
   friend class MsgLog;
-  explicit LogImage(std::shared_ptr<const std::vector<LogEntry>> d)
+  explicit LogImage(std::shared_ptr<const LogBuffer> d)
       : data_(std::move(d)) {}
 
-  std::shared_ptr<const std::vector<LogEntry>> data_;
+  std::shared_ptr<const LogBuffer> data_;
 };
 
 /// A node's volatile log of its own inter-cluster sends.
@@ -90,44 +99,52 @@ class MsgLog {
   std::size_t prune(ClusterId dst, SeqNum min_sn);
 
   /// Number of live entries.
-  std::size_t size() const { return entries_ ? entries_->size() : 0; }
+  std::size_t size() const { return buf_ ? buf_->entries.size() : 0; }
   /// Entries whose acknowledgement has not arrived yet (messages whose
   /// delivery is still unconfirmed — the paper's §5.4 "logged messages"
   /// high-water counts these).  Maintained incrementally: the high-water
   /// instrumentation reads this on every inter-cluster send.
   std::size_t unacked_count() const { return unacked_; }
-  /// Modelled bytes held by the log.
-  std::uint64_t bytes() const;
+  /// Σ env.wire_bytes() over the live entries.  Maintained incrementally by
+  /// every mutator, so pricing a checkpointed log is O(1).
+  std::uint64_t wire_bytes() const { return buf_ ? buf_->wire_bytes : 0; }
+  /// Modelled bytes held by the log (messages plus ack metadata).
+  std::uint64_t bytes() const {
+    return wire_bytes() + size() * (sizeof(SeqNum) + sizeof(Incarnation));
+  }
   /// Read-only view (tests, checkpoint capture).
   const std::vector<LogEntry>& entries() const {
     static const std::vector<LogEntry> kEmpty;
-    return entries_ ? *entries_ : kEmpty;
+    return buf_ ? buf_->entries : kEmpty;
   }
   /// Capture the log as a shared immutable image — O(1); the live log
   /// detaches (copies) lazily before its next mutation.
-  LogImage capture() const { return LogImage{entries_}; }
+  LogImage capture() const { return LogImage{buf_}; }
   /// Replace the whole log from a captured image (restoring a failed node
-  /// from its checkpointed log copy — DESIGN.md §3 refinement).  Adopts the
-  /// image's storage without copying; a later mutation detaches first.
+  /// from its checkpointed log copy — docs/architecture.md, refinement R3).
+  /// Adopts the image's storage without copying; a later mutation detaches
+  /// first.
   void restore(const LogImage& image);
 
  private:
-  void recount_unacked();
+  /// Erase the entries matching `pred`, keeping both aggregates exact.
+  template <class Pred>
+  void erase_if(Pred pred);
   /// Copy-on-write barrier: clone the backing storage iff it is shared
   /// with a captured image (or another log restored from one).
   void detach();
 
   // Entries are appended as messages are sent, and every (re-)send gets a
-  // fresh, globally increasing MsgId from the network — so entries_ is
+  // fresh, globally increasing MsgId from the network — so the entries are
   // always sorted by env.id and record_ack() can binary-search instead of
   // scanning.
   //
-  // The vector lives behind a shared_ptr so capture() can freeze it by
+  // The buffer lives behind a shared_ptr so capture() can freeze it by
   // sharing; every mutator calls detach() first, which clones only while a
   // capture is alive.  Null means "never logged anything" — most nodes of a
   // large federation never send inter-cluster, and their logs (and every
   // capture of them) must not cost an allocation.
-  std::shared_ptr<std::vector<LogEntry>> entries_;
+  std::shared_ptr<LogBuffer> buf_;
   std::size_t unacked_{0};
 };
 

@@ -4,7 +4,7 @@
 //
 // Every bench binary regenerates one of the paper's tables/figures and prints
 // it in the same row/series layout.  Table collects cells column-wise and
-// renders aligned ASCII (for the console), Markdown (for EXPERIMENTS.md) and
+// renders aligned ASCII (for the console), Markdown (for docs tables) and
 // CSV (for plotting).
 
 #include <cstdint>

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "config/presets.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::net {
 namespace {
@@ -214,6 +217,95 @@ TEST_F(NetworkTest, DropAlsoRemovesParked) {
   net_.set_node_up(NodeId{1});
   sim_.run_all();
   EXPECT_TRUE(received_.empty());
+}
+
+TEST_F(NetworkTest, PerClusterSnapshotMatchesFullFilter) {
+  // Reference model: every sent envelope not yet delivered or dropped, keyed
+  // (and so ordered) by MsgId.  Random traffic with nodes going down and up
+  // (parked flights), rollback-style drops and steady delivery (recycled
+  // slots) must leave each cluster's list equal to a filter of the model.
+  std::map<std::uint64_t, Envelope> live;
+  std::size_t seen = 0;
+  std::size_t dropped = 0;
+  RngStream rng(/*master_seed=*/7, /*stream_id=*/0);
+  const auto n = static_cast<std::uint32_t>(topo_.node_count());
+  const auto same = [](const std::vector<Envelope>& got,
+                       const std::vector<const Envelope*>& want) {
+    if (got.size() != want.size()) return false;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i].id != want[i]->id || got[i].app_seq != want[i]->app_seq) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int step = 0; step < 300; ++step) {
+    for (std::uint64_t k = rng.next_below(4); k-- > 0;) {
+      const NodeId src{static_cast<std::uint32_t>(rng.next_below(n))};
+      NodeId dst{static_cast<std::uint32_t>(rng.next_below(n - 1))};
+      if (dst.v >= src.v) ++dst.v;
+      Envelope env = app_env(src, dst, 1 + rng.next_below(2000));
+      env.src_cluster = topo_.cluster_of(src);
+      env.dst_cluster = topo_.cluster_of(dst);
+      Envelope copy = env;
+      copy.id = net_.send(std::move(env));
+      live.emplace(copy.id.v, copy);
+    }
+    if (rng.bernoulli(0.1)) {
+      const NodeId node{static_cast<std::uint32_t>(rng.next_below(n))};
+      if (net_.node_up(node)) {
+        net_.set_node_down(node);
+      } else {
+        net_.set_node_up(node);
+      }
+    }
+    if (rng.bernoulli(0.05)) {
+      const ClusterId c{static_cast<std::uint32_t>(rng.next_below(2))};
+      std::size_t expect = 0;
+      for (auto it = live.begin(); it != live.end();) {
+        if (it->second.src_cluster == c && it->second.intra_cluster()) {
+          it = live.erase(it);
+          ++expect;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(net_.drop_in_flight(
+                    c, [](const Envelope& e) { return e.intra_cluster(); }),
+                expect);
+      dropped += expect;
+    }
+    sim_.run_until(sim_.now() + microseconds(50));
+    for (; seen < received_.size(); ++seen) {
+      ASSERT_EQ(live.erase(received_[seen].second.id.v), 1u);
+    }
+
+    ASSERT_EQ(net_.in_flight_count(), live.size());
+    std::vector<const Envelope*> all;
+    for (const auto& [id, env] : live) all.push_back(&env);
+    EXPECT_TRUE(same(net_.snapshot_in_flight([](const Envelope&) {
+                       return true;
+                     }),
+                     all))
+        << "step " << step;
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      std::vector<const Envelope*> want;
+      for (const Envelope* e : all) {
+        if (e->src_cluster.v == c) want.push_back(e);
+      }
+      EXPECT_TRUE(same(net_.snapshot_in_flight(
+                           ClusterId{c}, [](const Envelope&) { return true; }),
+                       want))
+          << "step " << step << " cluster " << c;
+    }
+  }
+  EXPECT_GT(dropped, 0u);
+  for (std::uint32_t i = 0; i < n; ++i) net_.set_node_up(NodeId{i});
+  sim_.run_all();
+  EXPECT_EQ(net_.in_flight_count(), 0u);
+  EXPECT_TRUE(net_.snapshot_in_flight(ClusterId{0}, [](const Envelope&) {
+                    return true;
+                  }).empty());
 }
 
 TEST_F(NetworkTest, CountsTrafficByClassAndPair) {

@@ -6,6 +6,7 @@
 #include "proto/ddv.hpp"
 #include "proto/ledger.hpp"
 #include "proto/msg_log.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::proto {
 namespace {
@@ -94,7 +95,8 @@ TEST(MsgLog, AckedBeforeRestorePointIsStable) {
 TEST(MsgLog, AckedAtOrAfterRestorePointIsResent) {
   // Paper §3.4: "Logged messages ... acknowledged with a SN greater than
   // the alert one (or not acknowledged at all) will then be resent";
-  // under our SN convention the boundary epoch is lost too (DESIGN.md §3).
+  // under our SN convention the boundary epoch is lost too
+  // (docs/architecture.md, refinement R2).
   MsgLog log;
   log.add(inter_env(1, 1));
   log.add(inter_env(2, 1));
@@ -161,6 +163,65 @@ TEST(MsgLog, BytesAccountsPayloadAndMetadata) {
   EXPECT_GT(log.bytes(), 100u);
 }
 
+std::uint64_t recount_wire(const std::vector<LogEntry>& entries) {
+  std::uint64_t total = 0;
+  for (const auto& e : entries) total += e.env.wire_bytes();
+  return total;
+}
+
+void expect_log_aggregates(const MsgLog& log) {
+  EXPECT_EQ(log.wire_bytes(), recount_wire(log.entries()));
+  std::size_t unacked = 0;
+  for (const auto& e : log.entries()) unacked += e.acked ? 0 : 1;
+  EXPECT_EQ(log.unacked_count(), unacked);
+}
+
+TEST(MsgLog, WireBytesTracksEveryMutator) {
+  MsgLog log;
+  EXPECT_EQ(log.wire_bytes(), 0u);
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    net::Envelope env = inter_env(id, /*piggy_sn=*/id % 4 + 1,
+                                  /*dst_cluster=*/1 + id % 3);
+    env.payload_bytes = 50 * id;  // distinct sizes catch a wrong subtrahend
+    log.add(env);
+    expect_log_aggregates(log);
+  }
+  for (std::uint64_t id = 1; id <= 12; id += 2) {
+    log.record_ack(MsgId{id}, /*ack_sn=*/id % 5, /*ack_inc=*/0);
+    expect_log_aggregates(log);
+  }
+  const std::uint64_t before_ack = log.wire_bytes();
+  log.record_ack(MsgId{1}, 9, 0);  // re-ack: bytes unchanged
+  EXPECT_EQ(log.wire_bytes(), before_ack);
+
+  // Capture, then mutate: the image keeps its capture-time total while the
+  // live log (detached) moves on.
+  const LogImage image = log.capture();
+  const std::uint64_t at_capture = image.wire_bytes();
+  EXPECT_EQ(at_capture, recount_wire(image.entries()));
+
+  EXPECT_FALSE(log.take_resends(ClusterId{2}, /*restored_sn=*/2, 1).empty());
+  expect_log_aggregates(log);
+  EXPECT_GT(log.truncate_from(4), 0u);
+  expect_log_aggregates(log);
+  log.prune(ClusterId{3}, /*min_sn=*/10);
+  expect_log_aggregates(log);
+  EXPECT_EQ(image.wire_bytes(), at_capture);
+  EXPECT_EQ(image.wire_bytes(), recount_wire(image.entries()));
+
+  log.restore(image);
+  EXPECT_EQ(log.wire_bytes(), at_capture);
+  expect_log_aggregates(log);
+  log.add(inter_env(20, 1));  // detaches from the image again
+  expect_log_aggregates(log);
+  EXPECT_EQ(image.wire_bytes(), at_capture);
+
+  log.restore(LogImage{});  // never-logged image
+  EXPECT_EQ(log.wire_bytes(), 0u);
+  EXPECT_EQ(log.bytes(), 0u);
+  expect_log_aggregates(log);
+}
+
 // ---------------------------------------------------------------------------
 // ClcStore
 // ---------------------------------------------------------------------------
@@ -225,6 +286,53 @@ TEST(ClcStore, StorageAccountsReplication) {
   store.commit(record(2, {2, 0}));
   EXPECT_EQ(store.local_states_per_node(), 4u);
   EXPECT_EQ(store.storage_bytes(), 2 * one);
+}
+
+TEST(ClcStore, RunningTotalMatchesRecountUnderRandomOps) {
+  // Two logs whose images are shared by several parts (capture is a
+  // refcount bump), plus never-logged parts with null images.
+  MsgLog busy;
+  MsgLog quiet;
+  RngStream rng(/*master_seed=*/42, /*stream_id=*/0);
+  std::uint64_t next_id = 1;
+  ClcStore store(ClusterId{0}, 3, 1);
+  SeqNum sn = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.next_below(10);
+    if (op < 6) {
+      for (std::uint64_t k = rng.next_below(3); k-- > 0;) {
+        net::Envelope env = inter_env(next_id++, sn + 1);
+        env.payload_bytes = 1 + rng.next_below(500);
+        busy.add(env);
+      }
+      if (rng.bernoulli(0.2)) quiet.add(inter_env(next_id++, sn + 1));
+      ++sn;
+      ClcRecord rec = record(sn, {sn, 0}, /*nodes=*/3);
+      rec.parts[0].log = busy.capture();
+      rec.parts[1].log = busy.capture();  // shares parts[0]'s buffer
+      rec.parts[2].log = rng.bernoulli(0.5) ? quiet.capture() : LogImage{};
+      rec.parts[2].app.incremental = rng.bernoulli(0.5);
+      rec.parts[2].app.delta_bytes = rng.next_below(1000);
+      if (rng.bernoulli(0.3)) {
+        net::Envelope ch = inter_env(next_id++, sn, /*dst_cluster=*/0);
+        ch.payload_bytes = rng.next_below(300);
+        rec.channel.push_back(ch);
+      }
+      store.commit(std::move(rec));
+    } else if (op < 8 && !store.empty()) {
+      const SeqNum first = store.records().front().sn;
+      store.truncate_after(first + rng.next_below(sn - first + 1));
+    } else if (!store.empty()) {
+      const SeqNum first = store.records().front().sn;
+      store.prune_before(first + rng.next_below(sn - first + 2));
+    }
+    // Mutating the live logs after capture must not move stored totals.
+    if (rng.bernoulli(0.3)) busy.truncate_from(sn > 2 ? sn - 2 : 1);
+    ASSERT_EQ(store.storage_bytes(), store.recount_bytes()) << "step " << step;
+  }
+  EXPECT_GT(store.storage_bytes(), 0u);
+  store.prune_before(sn + 1);
+  EXPECT_EQ(store.storage_bytes(), 0u);
 }
 
 TEST(ClcStore, FindBySn) {
