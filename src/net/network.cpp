@@ -12,8 +12,8 @@ Network::Network(sim::Simulation& sim, const Topology& topo,
     : sim_(sim), topo_(topo), reg_(reg),
       deliver_(topo.node_count()),
       up_(topo.node_count(), true),
-      parked_(topo.node_count()),
-      by_src_(topo.cluster_count()) {}
+      park_head_(topo.node_count(), kNil),
+      park_tail_(topo.node_count(), kNil) {}
 
 void Network::attach(NodeId n, DeliverFn deliver) {
   HC3I_CHECK(n.v < deliver_.size(), "attach: bad node id");
@@ -62,8 +62,6 @@ std::uint32_t Network::alloc_flight() {
 
 void Network::release_flight(std::uint32_t slot) {
   Flight& f = flights_[slot];
-  list_remove(by_src_[f.env.src_cluster.v], slot, &Flight::src_prev,
-              &Flight::src_next);
   f.env = {};  // drop payload references now, not when the slot is reused
   f.live = false;
   f.parked = false;
@@ -74,46 +72,34 @@ void Network::release_flight(std::uint32_t slot) {
   --live_flights_;
 }
 
-void Network::list_append(ListEnds& list, std::uint32_t slot, Link prev,
-                          Link next) {
-  Flight& f = flights_[slot];
-  f.*prev = list.tail;
-  f.*next = kNil;
-  if (list.tail != kNil) {
-    flights_[list.tail].*next = slot;
-  } else {
-    list.head = slot;
-  }
-  list.tail = slot;
-}
-
-void Network::list_remove(ListEnds& list, std::uint32_t slot, Link prev,
-                          Link next) {
-  Flight& f = flights_[slot];
-  if (f.*prev != kNil) {
-    flights_[f.*prev].*next = f.*next;
-  } else {
-    list.head = f.*next;
-  }
-  if (f.*next != kNil) {
-    flights_[f.*next].*prev = f.*prev;
-  } else {
-    list.tail = f.*prev;
-  }
-  f.*prev = f.*next = kNil;
-}
-
 void Network::park(std::uint32_t slot) {
   Flight& f = flights_[slot];
   f.parked = true;
-  list_append(parked_[f.env.dst.v], slot, &Flight::park_prev,
-              &Flight::park_next);
+  const std::uint32_t node = f.env.dst.v;
+  f.park_prev = park_tail_[node];
+  f.park_next = kNil;
+  if (park_tail_[node] != kNil) {
+    flights_[park_tail_[node]].park_next = slot;
+  } else {
+    park_head_[node] = slot;
+  }
+  park_tail_[node] = slot;
 }
 
 void Network::unpark(std::uint32_t slot) {
   Flight& f = flights_[slot];
-  list_remove(parked_[f.env.dst.v], slot, &Flight::park_prev,
-              &Flight::park_next);
+  const std::uint32_t node = f.env.dst.v;
+  if (f.park_prev != kNil) {
+    flights_[f.park_prev].park_next = f.park_next;
+  } else {
+    park_head_[node] = f.park_next;
+  }
+  if (f.park_next != kNil) {
+    flights_[f.park_next].park_prev = f.park_prev;
+  } else {
+    park_tail_[node] = f.park_prev;
+  }
+  f.park_prev = f.park_next = kNil;
   f.parked = false;
 }
 
@@ -137,10 +123,6 @@ MsgId Network::send(Envelope env) {
   const std::uint32_t slot = alloc_flight();
   Flight& f = flights_[slot];
   f.env = std::move(env);
-  // MsgIds increase with every send, so appending keeps each source
-  // cluster's list in MsgId order.
-  list_append(by_src_[f.env.src_cluster.v], slot, &Flight::src_prev,
-              &Flight::src_next);
   f.event = sim_.schedule_after(
       delay, [this, slot, gen = f.gen] { arrive(slot, gen); });
   return id;
@@ -177,8 +159,7 @@ void Network::set_node_up(NodeId n) {
   // immediate events so handlers run from a clean stack.  Only this node's
   // parked list is touched — O(parked here), not O(all in flight).
   std::vector<std::uint32_t> ready;
-  for (std::uint32_t s = parked_[n.v].head; s != kNil;
-       s = flights_[s].park_next) {
+  for (std::uint32_t s = park_head_[n.v]; s != kNil; s = flights_[s].park_next) {
     ready.push_back(s);
   }
   std::sort(ready.begin(), ready.end(),
@@ -200,27 +181,14 @@ bool Network::node_up(NodeId n) const {
 
 std::vector<Envelope> Network::snapshot_in_flight(ClusterId src,
                                                   FlightFilter pred) const {
-  HC3I_CHECK(src.v < by_src_.size(), "snapshot_in_flight: bad cluster");
-  // The list is in MsgId order already: the captured channel state feeds
-  // protocol decisions, so its order is part of the bit-reproducibility
-  // contract.
-  std::vector<Envelope> out;
-  for (std::uint32_t s = by_src_[src.v].head; s != kNil;
-       s = flights_[s].src_next) {
-    if (pred(flights_[s].env)) out.push_back(flights_[s].env);
-  }
-  return out;
-}
-
-std::vector<Envelope> Network::snapshot_in_flight(FlightFilter pred) const {
-  // Each list is sorted; merge them by gathering matching slots and sorting
-  // once by MsgId.
+  HC3I_CHECK(src == kAnyCluster || src.v < topo_.cluster_count(),
+             "snapshot_in_flight: bad cluster");
+  // Gather matching slots, then emit in MsgId order: the captured channel
+  // state feeds protocol decisions, so its order is part of the
+  // bit-reproducibility contract.
   std::vector<std::uint32_t> match;
-  for (std::uint32_t c = 0; c < by_src_.size(); ++c) {
-    for (std::uint32_t s = by_src_[c].head; s != kNil;
-         s = flights_[s].src_next) {
-      if (pred(flights_[s].env)) match.push_back(s);
-    }
+  for (std::uint32_t s = 0; s < flights_.size(); ++s) {
+    if (selected(flights_[s], src, pred)) match.push_back(s);
   }
   std::sort(match.begin(), match.end(),
             [this](std::uint32_t a, std::uint32_t b) {
@@ -233,29 +201,19 @@ std::vector<Envelope> Network::snapshot_in_flight(FlightFilter pred) const {
 }
 
 std::size_t Network::drop_in_flight(ClusterId src, FlightFilter pred) {
-  HC3I_CHECK(src.v < by_src_.size(), "drop_in_flight: bad cluster");
+  HC3I_CHECK(src == kAnyCluster || src.v < topo_.cluster_count(),
+             "drop_in_flight: bad cluster");
   std::size_t dropped = 0;
-  for (std::uint32_t s = by_src_[src.v].head; s != kNil;) {
+  for (std::uint32_t s = 0; s < flights_.size(); ++s) {
     Flight& f = flights_[s];
-    const std::uint32_t next = f.src_next;  // release_flight unlinks s
-    if (pred(f.env)) {
-      if (f.parked) {
-        unpark(s);
-      } else {
-        sim_.cancel(f.event);
-      }
-      release_flight(s);
-      ++dropped;
+    if (!selected(f, src, pred)) continue;
+    if (f.parked) {
+      unpark(s);
+    } else {
+      sim_.cancel(f.event);
     }
-    s = next;
-  }
-  return dropped;
-}
-
-std::size_t Network::drop_in_flight(FlightFilter pred) {
-  std::size_t dropped = 0;
-  for (std::uint32_t c = 0; c < by_src_.size(); ++c) {
-    dropped += drop_in_flight(ClusterId{c}, pred);
+    release_flight(s);
+    ++dropped;
   }
   return dropped;
 }

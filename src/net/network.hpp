@@ -22,12 +22,10 @@
 //
 // Every message crosses this layer, so its bookkeeping is slot-indexed: a
 // flight lives in a recycled slab slot (O(1) add/remove, no per-message node
-// allocation), every live flight hangs off its source cluster's intrusive
-// list (capture and drop are O(that cluster's in-flight), not O(all in
-// flight)), parked messages also hang off a per-node intrusive list
-// (reviving a node is O(parked-for-that-node)), and the traffic census bumps
-// pre-resolved stats::Counter handles instead of building name strings per
-// send.
+// allocation), parked messages hang off a per-node intrusive list (reviving a
+// node is O(parked-for-that-node), not O(all in flight)), and the traffic
+// census bumps pre-resolved stats::Counter handles instead of building
+// name strings per send.
 
 #include <functional>
 #include <vector>
@@ -69,19 +67,23 @@ class Network {
 
   /// Copy every in-flight (sent, not yet arrived, plus parked) envelope sent
   /// from cluster `src` that matches `pred`, in MsgId (send) order. Used for
-  /// CLC channel-state capture; costs O(src's in-flight).
+  /// CLC channel-state capture.
   std::vector<Envelope> snapshot_in_flight(ClusterId src,
                                            FlightFilter pred) const;
-  /// The same over every cluster, merged in MsgId order (the global
-  /// baseline's federation-wide capture).
-  std::vector<Envelope> snapshot_in_flight(FlightFilter pred) const;
+  /// The same over every cluster (the global baseline's federation-wide
+  /// capture).
+  std::vector<Envelope> snapshot_in_flight(FlightFilter pred) const {
+    return snapshot_in_flight(kAnyCluster, pred);
+  }
 
   /// Remove every in-flight/parked envelope sent from cluster `src` that
   /// matches `pred`; returns how many were dropped. Used when a cluster
   /// rolls back.
   std::size_t drop_in_flight(ClusterId src, FlightFilter pred);
   /// The same over every cluster.
-  std::size_t drop_in_flight(FlightFilter pred);
+  std::size_t drop_in_flight(FlightFilter pred) {
+    return drop_in_flight(kAnyCluster, pred);
+  }
 
   /// Number of messages currently in flight or parked.
   std::size_t in_flight_count() const { return live_flights_; }
@@ -98,6 +100,8 @@ class Network {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// `src` that selects flights from every cluster.
+  static constexpr ClusterId kAnyCluster{kNil};
 
   struct Flight {
     Envelope env;
@@ -105,16 +109,8 @@ class Network {
     std::uint32_t gen{1};     ///< bumped when the slot is recycled
     std::uint32_t park_prev{kNil};  ///< intrusive per-destination parked list
     std::uint32_t park_next{kNil};
-    std::uint32_t src_prev{kNil};   ///< intrusive per-source-cluster list
-    std::uint32_t src_next{kNil};   ///< (live flights, in MsgId order)
     bool live{false};
     bool parked{false};
-  };
-
-  /// Head and tail slots of an intrusive flight list.
-  struct ListEnds {
-    std::uint32_t head{kNil};
-    std::uint32_t tail{kNil};
   };
 
   /// Pre-resolved census handles for one (class, direction) bucket.
@@ -127,12 +123,14 @@ class Network {
   void count_send(const Envelope& env);
   std::uint32_t alloc_flight();
   void release_flight(std::uint32_t slot);
-  /// A flight's prev/next links for one of its two intrusive lists.
-  using Link = std::uint32_t Flight::*;
-  void list_append(ListEnds& list, std::uint32_t slot, Link prev, Link next);
-  void list_remove(ListEnds& list, std::uint32_t slot, Link prev, Link next);
   void park(std::uint32_t slot);
   void unpark(std::uint32_t slot);
+  /// True if `f` is live, was sent from `src` (or src is kAnyCluster) and
+  /// matches `pred`.
+  bool selected(const Flight& f, ClusterId src, FlightFilter pred) const {
+    return f.live && (src == kAnyCluster || f.env.src_cluster == src) &&
+           pred(f.env);
+  }
 
   sim::Simulation& sim_;
   const Topology& topo_;
@@ -141,8 +139,8 @@ class Network {
   std::vector<bool> up_;               ///< indexed by NodeId
   std::vector<Flight> flights_;        ///< slot-indexed flight table
   std::vector<std::uint32_t> free_flights_;  ///< recycled slots
-  std::vector<ListEnds> parked_;             ///< per-node parked list
-  std::vector<ListEnds> by_src_;             ///< per-source-cluster flights
+  std::vector<std::uint32_t> park_head_;     ///< per-node parked list head
+  std::vector<std::uint32_t> park_tail_;     ///< per-node parked list tail
   std::size_t live_flights_{0};
   std::uint64_t next_msg_id_{1};
 

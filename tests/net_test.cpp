@@ -223,7 +223,8 @@ TEST_F(NetworkTest, PerClusterSnapshotMatchesFullFilter) {
   // Reference model: every sent envelope not yet delivered or dropped, keyed
   // (and so ordered) by MsgId.  Random traffic with nodes going down and up
   // (parked flights), rollback-style drops and steady delivery (recycled
-  // slots) must leave each cluster's list equal to a filter of the model.
+  // slots) must leave each cluster's snapshot equal to a filter of the
+  // model.
   std::map<std::uint64_t, Envelope> live;
   std::size_t seen = 0;
   std::size_t dropped = 0;

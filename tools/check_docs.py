@@ -15,24 +15,22 @@ skipped) for:
   * subsystem coverage: every `src/<subsystem>/` directory must be
     mentioned in docs/architecture.md or docs/paper_map.md — a new
     subsystem cannot land undocumented,
-  * code-comment citations: every `*.md` name cited in a comment under
-    src/, tests/, bench/ or examples/ must resolve to a file (relative to
-    the repo root, to the citing file, or as a bare name under the root
-    or docs/) — a comment cannot point at a document that does not exist.
+  * code citations: every `*.md` name in a C++ or Python file under src/,
+    tests/, bench/ or examples/ must resolve to a file (relative to the
+    repo root, to the citing file, or as a bare name under the root or
+    docs/) — code cannot point at a document that does not exist.
 
 Exit status is non-zero when any check fails, so CI can gate on it.
 """
 
-import io
 import os
 import re
 import sys
-import tokenize
 
 SKIP_DIRS = {"build", ".git", ".github", "node_modules"}
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 CODE_DIRS = ("src", "tests", "bench", "examples")
-CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
+CODE_EXTS = (".cpp", ".hpp", ".h", ".cc", ".py")
 MD_NAME_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
@@ -134,56 +132,6 @@ def check_subsystem_coverage(root: str):
     return errors
 
 
-def cpp_comments(text: str):
-    """Yield (line, comment text) for every // and /* */ comment.
-
-    A small scanner, not a regex, so string, character and raw-string
-    literals that contain comment markers are skipped correctly.
-    """
-    i, n, line = 0, len(text), 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif text.startswith("//", i):
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            yield line, text[i:end]
-            i = end
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            end = n if end < 0 else end + 2
-            yield line, text[i:end]
-            line += text.count("\n", i, end)
-            i = end
-        elif c == "R" and text.startswith('R"', i) and (
-            i == 0 or not (text[i - 1].isalnum() or text[i - 1] == "_")
-        ):
-            open_paren = text.find("(", i + 2)
-            delim = text[i + 2:open_paren]
-            end = text.find(")" + delim + '"', open_paren)
-            end = n if end < 0 else end + len(delim) + 2
-            line += text.count("\n", i, end)
-            i = end
-        elif c in "\"'":
-            j = i + 1
-            while j < n and text[j] != c and text[j] != "\n":
-                j += 2 if text[j] == "\\" else 1
-            i = j + 1
-        else:
-            i += 1
-
-
-def py_comments(text: str):
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.COMMENT:
-                yield tok.start[0], tok.string
-    except (tokenize.TokenError, SyntaxError):
-        return
-
-
 def md_resolves(name: str, citing_dir: str, root: str) -> bool:
     candidates = [os.path.join(root, name), os.path.join(citing_dir, name)]
     if "/" not in name:
@@ -191,8 +139,12 @@ def md_resolves(name: str, citing_dir: str, root: str) -> bool:
     return any(os.path.isfile(c) for c in candidates)
 
 
-def check_comment_citations(root: str):
-    """Every *.md cited in a code comment must exist."""
+def check_code_citations(root: str):
+    """Every *.md named in a source file must exist.
+
+    The whole text is scanned, not just comments: a string literal naming a
+    document is held to the same bar.
+    """
     errors = []
     for top in CODE_DIRS:
         base = os.path.join(root, top)
@@ -203,22 +155,18 @@ def check_comment_citations(root: str):
                 if d not in SKIP_DIRS and not d.startswith(".")
             )
             for name in sorted(filenames):
-                path = os.path.join(dirpath, name)
-                if name.endswith(CPP_EXTS):
-                    scan = cpp_comments
-                elif name.endswith(".py"):
-                    scan = py_comments
-                else:
+                if not name.endswith(CODE_EXTS):
                     continue
+                path = os.path.join(dirpath, name)
                 with open(path, encoding="utf-8") as f:
-                    text = f.read()
-                for lineno, comment in scan(text):
-                    for match in MD_NAME_RE.finditer(comment):
+                    lines = f.readlines()
+                for lineno, line in enumerate(lines, start=1):
+                    for match in MD_NAME_RE.finditer(line):
                         cited = match.group(1)
                         if md_resolves(cited, dirpath, root):
                             continue
                         errors.append(
-                            f"{os.path.relpath(path, root)}:{lineno}: comment "
+                            f"{os.path.relpath(path, root)}:{lineno}: "
                             f"cites '{cited}', which does not exist"
                         )
     return errors
@@ -232,7 +180,7 @@ def main() -> int:
         checked += 1
         all_errors.extend(check_file(path, root))
     all_errors.extend(check_subsystem_coverage(root))
-    all_errors.extend(check_comment_citations(root))
+    all_errors.extend(check_code_citations(root))
     for err in all_errors:
         print(f"error: {err}", file=sys.stderr)
     print(f"check_docs: {checked} markdown files, {len(all_errors)} errors")
