@@ -415,7 +415,7 @@ void dump_counters() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   for (const std::string& name : flags.names()) {
     if (name != "seeds" && name != "scale" && name != "out" &&
@@ -606,4 +606,7 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

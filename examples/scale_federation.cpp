@@ -66,7 +66,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   for (const std::string& name : flags.names()) {
     if (name != "clusters" && name != "nodes" && name != "seed" &&
@@ -167,4 +167,7 @@ int main(int argc, char** argv) {
   report.wall_sec = report.cases[0].wall_sec;
   std::fputs(report.render_table().c_str(), stdout);
   return status;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

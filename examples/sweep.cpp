@@ -235,7 +235,7 @@ std::optional<batch::CampaignPoint> parse_campaign_point(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   for (const std::string& name : flags.names()) {
     if (name != "clusters" && name != "nodes" && name != "minutes" &&
@@ -337,4 +337,7 @@ int main(int argc, char** argv) {
     std::fputs(report.render_table().c_str(), stdout);
   }
   return report.failures() == 0 ? 0 : 1;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

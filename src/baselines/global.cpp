@@ -83,25 +83,17 @@ void GlobalAgent::start() {
   // (the paper's baselines have no per-cluster autonomy by construction).
   const SimTime period = rt_.spec().timers.clusters[0].clc_period;
   timer_ = std::make_unique<sim::Timer>(*ctx_.sim, period, /*periodic=*/true,
-                                        [this] { on_timer(); });
+                                        [this] { begin_round(); });
   timer_->arm();
   ctx_.sim->schedule_after(SimTime::zero(), [this] { begin_round(); });
 }
 
-void GlobalAgent::on_timer() {
-  if (round_active_ || rollback_pending_) return;
-  begin_round();
-}
-
 void GlobalAgent::begin_round() {
-  if (round_active_ || rollback_pending_) return;
-  round_active_ = true;
-  round_ = next_round_++;
-  round_started_ = now();
+  if (coord_ || rollback_pending_) return;
+  coord_.emplace(next_round_++, now());
   parts_.assign(ctx_.topology->node_count(), std::nullopt);
-  acks_received_ = 0;
   auto req = proto::make_pooled<GReq>();
-  req->round = round_;
+  req->round = coord_->id;
   req->inc = inc_;
   if (rt_.hierarchical()) {
     // Two-level: only the cluster coordinators are contacted over the WAN;
@@ -120,11 +112,11 @@ void GlobalAgent::begin_round() {
 
 void GlobalAgent::handle_req(const GReq& m) {
   if (m.inc != inc_ || rollback_pending_) return;
-  if (rt_.hierarchical() && is_cluster_coordinator() && m.round != cluster_round_) {
+  if (rt_.hierarchical() && is_cluster_coordinator() &&
+      (!relay_ || relay_->id != m.round)) {
     // Relay into the cluster, then take our own tentative checkpoint.
-    cluster_round_ = m.round;
+    relay_.emplace(m.round);
     cluster_parts_.assign(ctx_.topology->cluster_size(cluster()), std::nullopt);
-    cluster_acks_ = 0;
     auto req = proto::make_pooled<GReq>();
     req->round = m.round;
     req->inc = inc_;
@@ -134,15 +126,13 @@ void GlobalAgent::handle_req(const GReq& m) {
 }
 
 void GlobalAgent::take_tentative(std::uint64_t round) {
-  if (in_round_) return;
-  in_round_ = true;
-  round_ = round;
-  tentative_ = make_part();
+  if (member_) return;
+  member_.emplace(round, make_part());
   auto ack = proto::make_pooled<GAck>();
   ack->round = round;
   ack->inc = inc_;
   ack->node = self();
-  ack->part = *tentative_;
+  ack->part = member_->tentative;
   const NodeId target = rt_.hierarchical() ? coordinator_of(cluster())
                                            : NodeId{0};
   send_control_or_local(target, kCtl, std::move(ack));
@@ -154,13 +144,13 @@ void GlobalAgent::handle_ack(const GAck& m) {
     // Node acks always aggregate at the cluster coordinator (node 0 plays
     // both roles for cluster 0: it aggregates here and receives the
     // resulting GClusterAck as the global coordinator).
-    if (m.round != cluster_round_) return;
+    if (!relay_ || m.round != relay_->id) return;
     const std::uint32_t idx = local_index(m.node);
     if (cluster_parts_[idx].has_value()) return;
     cluster_parts_[idx] = m.part;
-    if (++cluster_acks_ < cluster_parts_.size()) return;
+    if (++relay_->acks < cluster_parts_.size()) return;
     auto cack = proto::make_pooled<GClusterAck>();
-    cack->round = cluster_round_;
+    cack->round = relay_->id;
     cack->inc = inc_;
     cack->cluster = cluster();
     cack->parts.reserve(cluster_parts_.size());
@@ -169,21 +159,21 @@ void GlobalAgent::handle_ack(const GAck& m) {
     return;
   }
   // Flat mode, at the global coordinator.
-  if (!round_active_ || m.round != round_) return;
+  if (!coord_ || m.round != coord_->id) return;
   if (parts_[m.node.v].has_value()) return;
   parts_[m.node.v] = m.part;
-  if (++acks_received_ == parts_.size()) commit_round();
+  if (++coord_->acks == parts_.size()) commit_round();
 }
 
 void GlobalAgent::handle_cluster_ack(const GClusterAck& m) {
-  if (m.inc != inc_ || !round_active_ || m.round != round_) return;
+  if (m.inc != inc_ || !coord_ || m.round != coord_->id) return;
   const std::uint32_t base = ctx_.topology->first_node(m.cluster).v;
   if (parts_[base].has_value()) return;  // duplicate cluster ack
   for (std::size_t i = 0; i < m.parts.size(); ++i) {
     parts_[base + i] = m.parts[i];
-    ++acks_received_;
   }
-  if (acks_received_ == parts_.size()) commit_round();
+  coord_->acks += m.parts.size();
+  if (coord_->acks == parts_.size()) commit_round();
 }
 
 void GlobalAgent::commit_round() {
@@ -226,12 +216,12 @@ void GlobalAgent::commit_round() {
   rt_.set_channel(new_sn, std::move(channel));
 
   named_summary(stat_freeze_, "global.freeze_s")
-      .add((now() - round_started_).seconds());
-  round_active_ = false;
+      .add((now() - coord_->started).seconds());
   auto commit = proto::make_pooled<GCommit>();
-  commit->round = round_;
+  commit->round = coord_->id;
   commit->inc = inc_;
   commit->sn = new_sn;
+  coord_.reset();
   if (rt_.hierarchical()) {
     for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
       send_control_or_local(
@@ -247,16 +237,16 @@ void GlobalAgent::commit_round() {
 
 void GlobalAgent::handle_commit(const GCommit& m) {
   if (m.inc != inc_ || rollback_pending_) return;
-  if (rt_.hierarchical() && is_cluster_coordinator() && m.round == cluster_round_) {
+  if (rt_.hierarchical() && is_cluster_coordinator() && relay_ &&
+      m.round == relay_->id) {
     // Relay the commit into the cluster once.
-    cluster_round_ = 0;
+    relay_.reset();
     broadcast_control(cluster(), kCtl, proto::make_pooled<GCommit>(m),
                       /*include_self=*/false);
   }
-  if (!in_round_ || m.round != round_) return;
+  if (!member_ || m.round != member_->id) return;
   sn_ = m.sn;
-  in_round_ = false;
-  tentative_.reset();
+  member_.reset();
   if (is_global_coordinator() && timer_) timer_->reset();
   auto sends = std::move(queued_sends_);
   queued_sends_.clear();
@@ -274,7 +264,7 @@ void GlobalAgent::handle_commit(const GCommit& m) {
 void GlobalAgent::app_send(NodeId dst, std::uint64_t bytes,
                            std::uint64_t app_seq) {
   if (rollback_pending_) return;
-  if (in_round_) {
+  if (member_) {
     queued_sends_.push_back(QueuedSend{dst, bytes, app_seq});
     return;
   }
@@ -296,7 +286,7 @@ void GlobalAgent::on_message(const net::Envelope& env) {
       post_rollback_stash_.push_back(env);
       return;
     }
-    if (in_round_) {
+    if (member_) {
       deferred_.push_back(env);
       return;
     }
@@ -381,13 +371,13 @@ void GlobalAgent::apply_rollback(const proto::ClcRecord& rec,
   }
   sn_ = rec.sn;
   inc_ = new_inc;
-  in_round_ = false;
-  tentative_.reset();
   queued_sends_.clear();
   deferred_.clear();
   post_rollback_stash_.clear();
-  round_active_ = false;
-  cluster_round_ = 0;
+  // The rollback aborts every open round this node plays a role in.
+  member_.reset();
+  coord_.reset();
+  relay_.reset();
   if (timer_) timer_->cancel();
   rollback_pending_ = true;
   ctx_.app->freeze();

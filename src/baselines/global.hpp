@@ -77,7 +77,7 @@ class GlobalAgent final : public proto::AgentBase {
   void on_failure_detected(NodeId failed) override;
 
   SeqNum sn() const { return sn_; }
-  bool in_round() const { return in_round_; }
+  bool in_round() const { return member_.has_value(); }
 
  private:
   // Pre-resolved stats handles (per-message / per-round paths; see
@@ -123,7 +123,6 @@ class GlobalAgent final : public proto::AgentBase {
   };
 
   bool is_global_coordinator() const { return self().v == 0; }
-  void on_timer();
   void begin_round();
   void handle_req(const GReq& m);
   void handle_ack(const GAck& m);
@@ -141,9 +140,13 @@ class GlobalAgent final : public proto::AgentBase {
   GlobalRuntime& rt_;
   SeqNum sn_{0};
   Incarnation inc_{0};
-  bool in_round_{false};
-  std::uint64_t round_{0};
-  std::optional<proto::NodePart> tentative_;
+  // Round life cycles, as in hc3i::core::Hc3iAgent: engaging a struct opens
+  // the round, reset() ends it (commit, or abort by rollback).
+  struct MemberRound {                      ///< this node's part of a round
+    std::uint64_t id;
+    proto::NodePart tentative;
+  };
+  std::optional<MemberRound> member_;
   struct QueuedSend {
     NodeId dst;
     std::uint64_t bytes;
@@ -156,18 +159,25 @@ class GlobalAgent final : public proto::AgentBase {
   ClusterId pending_fault_cluster_{};
   std::vector<net::Envelope> post_rollback_stash_;
 
-  // Global-coordinator round state (node 0 only).
-  bool round_active_{false};
+  // Global-coordinator round state (node 0 only).  The parts vectors stay
+  // outside the round structs so their capacity is reused.
+  struct CoordRound {
+    std::uint64_t id;
+    SimTime started;
+    std::size_t acks{0};
+  };
+  std::optional<CoordRound> coord_;
   std::uint64_t next_round_{1};
   std::vector<std::optional<proto::NodePart>> parts_;  ///< all nodes
-  std::size_t acks_received_{0};
   std::unique_ptr<sim::Timer> timer_;
-  SimTime round_started_{};
 
-  // Cluster-coordinator aggregation state (hierarchical mode).
+  // Cluster-coordinator relay round (hierarchical mode): request to commit.
+  struct RelayRound {
+    std::uint64_t id;
+    std::size_t acks{0};
+  };
+  std::optional<RelayRound> relay_;
   std::vector<std::optional<proto::NodePart>> cluster_parts_;
-  std::size_t cluster_acks_{0};
-  std::uint64_t cluster_round_{0};
 };
 
 /// Build a factory; the runtime must outlive the federation.

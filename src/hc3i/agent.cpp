@@ -10,12 +10,17 @@ namespace hc3i::core {
 
 namespace {
 using net::payload_as;
+
+/// Zero every entry in place: a spilled vector keeps its block.
+void zero_entries(proto::Ddv& d) {
+  for (std::uint32_t i = 0; i < d.size(); ++i) d.set(ClusterId{i}, 0);
+}
 }  // namespace
 
 Hc3iAgent::Hc3iAgent(const proto::AgentContext& ctx, Hc3iRuntime& rt)
     : AgentBase(ctx), rt_(rt),
       ddv_(rt.cluster_count(), ctx.cluster, 0),
-      round_ddv_merge_(rt.cluster_count(), ctx.cluster, 0) {
+      demanded_(rt.cluster_count(), ctx.cluster, 0) {
   // known_rollbacks_ stays empty (size 0) until the first alert arrives:
   // failure-free runs — and most nodes of any run — never pay its per-node
   // per-cluster allocation.
@@ -119,8 +124,9 @@ const proto::ClcRecord* Hc3iAgent::find_rollback_target(
 void Hc3iAgent::start() {
   if (!is_cluster_coordinator()) return;
   const SimTime period = rt_.spec().timers.clusters[cluster().v].clc_period;
-  clc_timer_ = std::make_unique<sim::Timer>(*ctx_.sim, period, /*periodic=*/true,
-                                            [this] { on_clc_timer(); });
+  clc_timer_ = std::make_unique<sim::Timer>(
+      *ctx_.sim, period, /*periodic=*/true,
+      [this] { coordinator_begin_round(RoundReason::kTimer); });
   clc_timer_->arm();
   // "Each cluster stores a first CLC which is the beginning of the
   // application" (paper §4).
@@ -145,7 +151,7 @@ void Hc3iAgent::start() {
 void Hc3iAgent::app_send(NodeId dst, std::uint64_t bytes,
                          std::uint64_t app_seq) {
   if (rollback_pending_) return;  // frozen application cannot send
-  if (in_round_) {
+  if (in_round()) {
     // "Between the request and the commit messages, application messages
     // are queued" (paper §3.1).
     queued_sends_.push_back(QueuedSend{dst, bytes, app_seq});
@@ -202,7 +208,7 @@ void Hc3iAgent::on_app_message(const net::Envelope& env) {
     post_rollback_stash_.push_back(env);
     return;
   }
-  if (in_round_) {
+  if (in_round()) {
     // Queued until commit (both directions are frozen during the 2PC).
     deferred_.push_back(env);
     return;
@@ -319,48 +325,33 @@ void Hc3iAgent::drain_wait_queue() {
 
 void Hc3iAgent::handle_clc_demand(const ClcDemand& m) {
   if (m.inc != inc_) return;  // pre-rollback demand
-  auto& slot = pending_raises_[m.from_cluster.v];
-  slot = std::max(slot, m.observed_sn);
+  demanded_.raise(m.from_cluster, m.observed_sn);
   if (rt_.options().transitive_ddv && !m.observed_ddv.empty()) {
-    proto::Ddv observed = m.observed_ddv;
-    observed.set(cluster(), 0);  // never raise our own entry from a peer
-    if (!pending_merge_) {
-      pending_merge_ = std::move(observed);
-    } else {
-      pending_merge_->merge_max(observed);
-    }
+    // Transitive extension (paper §7); never raise our own entry from a peer.
+    demanded_.merge_max(m.observed_ddv);
+    demanded_.set(cluster(), 0);
   }
-  if (!round_active_ && !rollback_pending_) {
-    coordinator_begin_round(RoundReason::kForced);
-  }
-  // An active round absorbs the demand: the raise is folded into its commit
-  // (safe because the triggering message is stashed, not delivered, so no
-  // tentative snapshot depends on it).
+  // An active round absorbs the demand (begin_round is then a no-op): the
+  // raise is folded into its commit (safe because the triggering message is
+  // stashed, not delivered, so no tentative snapshot depends on it).
+  coordinator_begin_round(RoundReason::kForced);
 }
 
 // ---------------------------------------------------------------------------
 // Intra-cluster two-phase commit (paper §3.1)
 // ---------------------------------------------------------------------------
 
-void Hc3iAgent::on_clc_timer() {
-  if (round_active_ || rollback_pending_) return;
-  coordinator_begin_round(RoundReason::kTimer);
-}
-
 void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
   HC3I_CHECK(is_cluster_coordinator(), "begin_round on non-coordinator");
-  if (round_active_ || rollback_pending_) return;
-  round_active_ = true;
-  round_reason_ = reason;
-  active_round_id_ = next_round_++;
+  if (coord_ || rollback_pending_) return;  // one round at a time
+  const std::uint64_t id = next_round_++;
+  coord_.emplace(id, reason, 0u, ddv_);
   parts_.assign(ctx_.topology->cluster_size(cluster()), std::nullopt);
-  acks_received_ = 0;
-  round_ddv_merge_ = ddv_;
   auto req = proto::make_pooled<ClcRequest>();
-  req->round = active_round_id_;
+  req->round = id;
   req->inc = inc_;
   HC3I_OBS(events(), obs::RecordKind::kClcRoundBegin, now(), cluster().v,
-           self().v, active_round_id_,
+           self().v, id,
            reason == RoundReason::kForced ? 1 : 0);
   broadcast_control(cluster(), ControlSizes::kSmall, std::move(req),
                     /*include_self=*/true);
@@ -368,17 +359,14 @@ void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
 
 void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
   if (m.inc != inc_ || rollback_pending_) return;
-  if (in_round_) {
+  if (member_) {
     // Overtaken commit (see pending_request_): hold the newer round's
     // request; a re-broadcast of the current round stays a no-op.
-    if (m.round > round_) pending_request_ = m;
+    if (m.round > member_->id) pending_request_ = m;
     return;
   }
-  in_round_ = true;
-  round_ = m.round;
-  replica_acks_ = 0;
   // Tentative local checkpoint (phase 1) + stable-storage replica write.
-  tentative_ = make_part();
+  member_.emplace(m.round, make_part());
   const storage::Backend* be = rt_.backend(cluster());
   if (be == nullptr) {
     finish_capture();
@@ -388,8 +376,8 @@ void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
   // its (full or delta) image is persisted, which delays its phase-1 ack
   // and therefore stretches the whole round — checkpoint cost surfaces as
   // time the application spends with messages queued.
-  const std::uint64_t bytes = tentative_->app.delta_bytes;
-  const std::uint64_t saved = tentative_->app.state_bytes - bytes;
+  const std::uint64_t bytes = member_->tentative.app.delta_bytes;
+  const std::uint64_t saved = member_->tentative.app.state_bytes - bytes;
   stat(stat_ckpt_bytes_, "ckpt.bytes_written").inc(bytes);
   named_stat(stat_g_ckpt_bytes_, "ckpt.bytes_written").inc(bytes);
   if (saved > 0) {
@@ -401,19 +389,19 @@ void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
   stat(stat_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
   named_stat(stat_g_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
   HC3I_OBS(events(), obs::RecordKind::kCkptWrite, now(), cluster().v, self().v,
-           round_, bytes, static_cast<std::uint64_t>(stall.ns));
+           m.round, bytes, static_cast<std::uint64_t>(stall.ns));
   const Incarnation round_inc = inc_;
-  const std::uint64_t round_id = round_;
+  const std::uint64_t round_id = m.round;
   ctx_.sim->schedule_after(stall, [this, round_inc, round_id] {
     // A rollback mid-write aborts the round (the incarnation bump or the
-    // cleared in_round_ flag filters the stale completion).
-    if (inc_ != round_inc || !in_round_ || round_ != round_id) return;
+    // reset member_ filters the stale completion).
+    if (inc_ != round_inc || !member_ || member_->id != round_id) return;
     finish_capture();
   });
 }
 
 void Hc3iAgent::finish_capture() {
-  HC3I_CHECK(tentative_.has_value(), "finish_capture without a capture");
+  HC3I_CHECK(member_.has_value(), "finish_capture without a capture");
   if (replicas_needed() == 0) {
     send_phase1_ack();
     return;
@@ -422,11 +410,11 @@ void Hc3iAgent::finish_capture() {
   // whole process state, or just the delta when storage models incremental
   // capture.
   const std::uint64_t replica_bytes = rt_.backend(cluster()) != nullptr
-                                          ? tentative_->app.delta_bytes
+                                          ? member_->tentative.app.delta_bytes
                                           : rt_.spec().application.state_bytes;
   for (std::uint32_t r = 1; r <= replicas_needed(); ++r) {
     auto rs = proto::make_pooled<ReplicaStore>();
-    rs->round = round_;
+    rs->round = member_->id;
     rs->inc = inc_;
     rs->origin = self();
     send_control(ctx_.topology->ring_neighbour(self(), r), replica_bytes,
@@ -444,57 +432,51 @@ void Hc3iAgent::handle_replica_store(const net::Envelope& env,
 }
 
 void Hc3iAgent::handle_replica_ack(const ReplicaAck& m) {
-  if (m.inc != inc_ || !in_round_ || m.round != round_) return;
-  if (++replica_acks_ == replicas_needed()) send_phase1_ack();
+  if (m.inc != inc_ || !member_ || m.round != member_->id) return;
+  if (++member_->replica_acks == replicas_needed()) send_phase1_ack();
 }
 
 void Hc3iAgent::send_phase1_ack() {
   auto ack = proto::make_pooled<ClcAck>();
-  ack->round = round_;
+  ack->round = member_->id;
   ack->inc = inc_;
   ack->node = self();
-  ack->part = *tentative_;
+  ack->part = member_->tentative;
   ack->node_ddv = ddv_;
   send_control_or_local(coordinator_of(cluster()), ControlSizes::kSmall,
                         std::move(ack));
 }
 
 void Hc3iAgent::handle_clc_ack(const ClcAck& m) {
-  if (m.inc != inc_ || !round_active_ || m.round != active_round_id_) return;
+  if (m.inc != inc_ || !coord_ || m.round != coord_->id) return;
   const std::uint32_t idx = local_index(m.node);
   HC3I_CHECK(idx < parts_.size(), "ClcAck from foreign node");
   if (parts_[idx].has_value()) return;  // duplicate
   parts_[idx] = m.part;
-  round_ddv_merge_.merge_max(m.node_ddv);
-  ++acks_received_;
+  coord_->ddv_merge.merge_max(m.node_ddv);
+  ++coord_->acks;
   // Phase-targeted fault injection observes the ack/commit window here.
   HC3I_OBS(events(), obs::RecordKind::kClcAck, now(), cluster().v, m.node.v,
-           active_round_id_, acks_received_, parts_.size());
-  if (acks_received_ == parts_.size()) coordinator_commit_round();
+           coord_->id, coord_->acks, parts_.size());
+  if (coord_->acks == parts_.size()) coordinator_commit_round();
 }
 
 void Hc3iAgent::coordinator_commit_round() {
+  CoordRound round = std::move(*coord_);
+  coord_.reset();
+  const bool forced = round.reason == RoundReason::kForced;
   const SeqNum new_sn = sn_ + 1;
-  proto::Ddv new_ddv = round_ddv_merge_;
+  proto::Ddv& new_ddv = round.ddv_merge;
   new_ddv.set(cluster(), new_sn);
-  for (const auto& [c, s] : pending_raises_) {
-    new_ddv.raise(ClusterId{c}, s);
-  }
-  if (pending_merge_) {
-    // Transitive extension (paper §7): fold the piggybacked DDVs in, never
-    // lowering our own entry.
-    pending_merge_->set(cluster(), new_sn);
-    new_ddv.merge_max(*pending_merge_);
-  }
-  pending_raises_.clear();
-  pending_merge_.reset();
+  new_ddv.merge_max(demanded_);  // demanded_'s own entry is 0
+  zero_entries(demanded_);
 
   proto::ClcRecord rec;
   rec.sn = new_sn;
   rec.ddv = new_ddv;
   rec.commit_time = now();
   rec.ledger_mark = ctx_.ledger->mark();
-  rec.forced = round_reason_ == RoundReason::kForced;
+  rec.forced = forced;
   rec.parts.reserve(parts_.size());
   for (auto& p : parts_) {
     HC3I_CHECK(p.has_value(), "commit without all parts");
@@ -519,7 +501,7 @@ void Hc3iAgent::coordinator_commit_round() {
   store().commit(std::move(rec));
 
   stat(stat_clc_total_, "clc.total").inc();
-  switch (round_reason_) {
+  switch (round.reason) {
     case RoundReason::kInitial:
       stat(stat_clc_initial_, "clc.initial").inc();
       break;
@@ -533,9 +515,8 @@ void Hc3iAgent::coordinator_commit_round() {
   stat(stat_store_max_clcs_, "store.max_clcs").raise(store().size());
   stat(stat_store_max_bytes_, "store.max_bytes").raise(store().storage_bytes());
 
-  round_active_ = false;
   auto commit = proto::make_pooled<ClcCommit>();
-  commit->round = active_round_id_;
+  commit->round = round.id;
   commit->inc = inc_;
   commit->sn = new_sn;
   commit->ddv = new_ddv;
@@ -546,17 +527,16 @@ void Hc3iAgent::coordinator_commit_round() {
   // After the broadcast: a commit-phase kill the campaign engine schedules
   // from this record queues behind the commit deliveries.
   HC3I_OBS(events(), obs::RecordKind::kClcCommit, now(), cluster().v, self().v,
-           active_round_id_, static_cast<std::uint64_t>(new_sn),
-           round_reason_ == RoundReason::kForced ? 1 : 0, nullptr, new_ddv);
+           round.id, static_cast<std::uint64_t>(new_sn), forced ? 1 : 0,
+           nullptr, new_ddv);
 }
 
 void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
   if (m.inc != inc_ || rollback_pending_) return;
-  if (!in_round_ || m.round != round_) return;  // aborted round
+  if (!member_ || m.round != member_->id) return;  // aborted round
   sn_ = m.sn;
   ddv_ = m.ddv;
-  in_round_ = false;
-  tentative_.reset();
+  member_.reset();
   if (is_cluster_coordinator() && clc_timer_) {
     // "The timer is reset when a forced CLC is established" (paper §5.2) —
     // on timer-driven CLCs the period naturally restarts too.
@@ -603,15 +583,11 @@ void Hc3iAgent::on_failure_detected(NodeId failed) {
            failed.v, 0);
   stat(stat_rollback_faults_, "rollback.faults").inc();
   proto::ClcRecord rec = store().last();  // copy: the store gets truncated
-  // The failed node lost its volatile memory; it will restore the
-  // checkpointed copy of its log (survivors keep and truncate theirs).
-  for (Hc3iAgent* peer : rt_.cluster_agents(cluster())) {
-    peer->lost_memory_idx_ = local_index(failed);
-  }
-  rollback_cluster(std::move(rec), /*fault_origin=*/true);
+  rollback_cluster(std::move(rec), local_index(failed));
 }
 
-void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
+void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg,
+                                 std::optional<std::uint32_t> failed_idx) {
   // The record is shared by the two deferred resume events below; a
   // shared_ptr capture keeps each event callable within the queue's inline
   // storage (the record itself is cold-path state, allocated once per
@@ -620,6 +596,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
       std::make_shared<const proto::ClcRecord>(std::move(rec_arg));
   const proto::ClcRecord& rec = *rec_sp;
   const ClusterId c = cluster();
+  const bool fault_origin = failed_idx.has_value();
   const Incarnation new_inc = rt_.bump_incarnation(c);
   named_stat(stat_rollback_global_, "rollback.count").inc();
   stat(stat_rollback_count_, "rollback.count").inc();
@@ -649,13 +626,12 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
   ctx_.ledger->undo_after(c, rec.ledger_mark);
 
   // 3. Restore protocol state on every node of the cluster (atomic cluster
-  //    event; the modelled cost is the resume delay below).
+  //    event; the modelled cost is the resume delay below).  The failed
+  //    node lost its volatile memory; it restores the checkpointed copy of
+  //    its log (survivors keep and truncate theirs).
   for (Hc3iAgent* peer : rt_.cluster_agents(c)) {
-    const bool lost_memory =
-        peer->lost_memory_idx_.has_value() &&
-        *peer->lost_memory_idx_ == local_index(peer->self());
-    peer->apply_cluster_rollback(rec, new_inc, lost_memory);
-    peer->lost_memory_idx_.reset();
+    peer->apply_cluster_rollback(rec, new_inc,
+                                 failed_idx == local_index(peer->self()));
   }
   if (fault_origin) rt_.set_fault_recovery_owed(c);
 
@@ -741,23 +717,12 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   queued_sends_.clear();
   post_rollback_stash_.clear();
   pending_request_.reset();  // pre-rollback round; its inc is stale anyway
-  in_round_ = false;
-  tentative_.reset();
-  round_active_ = false;
-  pending_raises_.clear();
-  pending_merge_.reset();
-  acks_received_ = 0;
-  // An incarnation bump mid-round aborts the round; no coordinator scratch
-  // from the undone epoch may survive it.  `parts_` holds tentative
-  // checkpoint images and `round_ddv_merge_` the DDV entries merged from
-  // its phase-1 acks — begin_round reinitialises both, and stale acks are
-  // filtered by (inc, round id), but clearing here releases the retained
-  // images immediately and makes "no stale merged entry can leak into a
-  // later round's committed DDV" hold by construction rather than by the
-  // interplay of three guards (regression: Rollback.FailureBetweenPhase1-
-  // AcksLeavesNoStaleDdv).
+  // The rollback aborts every open round: nothing of the undone epoch (a
+  // tentative image, a merged DDV entry, a demand) can reach a later commit.
+  member_.reset();
+  coord_.reset();
   parts_.clear();
-  round_ddv_merge_ = ddv_;
+  zero_entries(demanded_);
   if (clc_timer_) clc_timer_->cancel();
   rollback_pending_ = true;
   ctx_.app->freeze();
@@ -789,7 +754,7 @@ void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
     HC3I_CHECK(target != nullptr,
                "no rollback target — the garbage collector over-pruned");
     stat(stat_rollback_cascade_, "rollback.cascade").inc();
-    rollback_cluster(*target, /*fault_origin=*/false);
+    rollback_cluster(*target, std::nullopt);
   }
 
   // Relay intra-cluster so every node replays its logged messages
@@ -825,12 +790,10 @@ void Hc3iAgent::handle_alert_relay(const AlertRelay& m) {
 // ---------------------------------------------------------------------------
 
 void Hc3iAgent::on_gc_timer() {
-  if (gc_active_) return;
-  gc_active_ = true;
+  if (gc_) return;
   ++gc_round_;
-  gc_epoch_at_start_ = rt_.fed_rollback_epoch();
-  gc_metas_.assign(rt_.cluster_count(), std::nullopt);
-  gc_responses_ = 0;
+  gc_.emplace(rt_.fed_rollback_epoch());
+  gc_->metas.resize(rt_.cluster_count());
   ctx_.registry->inc("gc.rounds");
   HC3I_OBS(events(), obs::RecordKind::kGcRoundBegin, now(), cluster().v,
            self().v, gc_round_);
@@ -868,20 +831,21 @@ void Hc3iAgent::handle_gc_request(const net::Envelope& env, const GcRequest& m) 
 }
 
 void Hc3iAgent::handle_gc_response(const GcResponse& m) {
-  if (!gc_active_ || m.gc_round != gc_round_) return;
-  if (gc_metas_[m.cluster.v].has_value()) return;
-  gc_metas_[m.cluster.v] = proto::decode_clc_metas(m.metas);
-  if (++gc_responses_ < rt_.cluster_count()) return;
+  if (!gc_ || m.gc_round != gc_round_) return;
+  if (gc_->metas[m.cluster.v].has_value()) return;
+  gc_->metas[m.cluster.v] = proto::decode_clc_metas(m.metas);
+  if (++gc_->responses < rt_.cluster_count()) return;
 
-  gc_active_ = false;
-  if (rt_.fed_rollback_epoch() != gc_epoch_at_start_) {
+  GcRound round = std::move(*gc_);
+  gc_.reset();
+  if (rt_.fed_rollback_epoch() != round.epoch_at_start) {
     // A rollback raced with this GC round; the snapshots are inconsistent.
     ctx_.registry->inc("gc.aborted");
     return;
   }
   std::vector<std::vector<proto::ClcMeta>> metas;
   metas.reserve(rt_.cluster_count());
-  for (auto& m_opt : gc_metas_) metas.push_back(std::move(*m_opt));
+  for (auto& m_opt : round.metas) metas.push_back(std::move(*m_opt));
   const std::vector<SeqNum> min_sns = proto::gc_min_restored_sns(metas);
 
   auto collect = proto::make_pooled<GcCollect>();

@@ -33,7 +33,6 @@
 // independent-checkpointing baseline reuse the entire machinery with
 // forcing disabled — exactly the ablation the paper argues against in §2.2.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -63,7 +62,7 @@ class Hc3iAgent : public proto::AgentBase {
   SeqNum sn() const { return sn_; }
   const proto::Ddv& ddv() const { return ddv_; }
   Incarnation incarnation() const { return inc_; }
-  bool in_round() const { return in_round_; }
+  bool in_round() const { return member_.has_value(); }
   std::size_t log_size() const { return log_.size(); }
   const proto::MsgLog& msg_log() const { return log_; }
   std::size_t waiting_forced() const { return wait_force_.size(); }
@@ -93,7 +92,6 @@ class Hc3iAgent : public proto::AgentBase {
   void on_control_message(const net::Envelope& env);
 
   // -- intra-cluster 2PC (paper §3.1)
-  void on_clc_timer();
   void coordinator_begin_round(RoundReason reason);
   void handle_clc_request(const ClcRequest& m);
   void handle_replica_store(const net::Envelope& env, const ReplicaStore& m);
@@ -116,7 +114,11 @@ class Hc3iAgent : public proto::AgentBase {
   void do_send(NodeId dst, std::uint64_t bytes, std::uint64_t app_seq);
 
   // -- rollback (paper §3.4)
-  void rollback_cluster(proto::ClcRecord rec, bool fault_origin);
+  /// `failed_idx` is the failed node's local index when this cluster is the
+  /// fault origin (that node lost its volatile memory), nullopt for a
+  /// rollback forced by another cluster's alert.
+  void rollback_cluster(proto::ClcRecord rec,
+                        std::optional<std::uint32_t> failed_idx);
   void apply_cluster_rollback(const proto::ClcRecord& rec, Incarnation new_inc,
                               bool lost_memory);
   void resume_after_rollback(const proto::ClcRecord& rec);
@@ -175,8 +177,15 @@ class Hc3iAgent : public proto::AgentBase {
     std::uint64_t app_seq;
   };
   std::vector<QueuedSend> queued_sends_;    ///< issued during a 2PC round
-  bool in_round_{false};
-  std::uint64_t round_{0};                  ///< round currently joined
+  // Round life cycles: engaging a struct opens the round, reset() ends it
+  // (commit, or abort by rollback), so no field of a finished round
+  // survives it (docs/architecture.md, "Round life cycles").
+  struct MemberRound {                      ///< this node's part of a CLC round
+    std::uint64_t id;
+    proto::NodePart tentative;              ///< phase-1 local checkpoint
+    std::uint32_t replica_acks{0};
+  };
+  std::optional<MemberRound> member_;
   /// A ClcRequest for a round NEWER than the one we're in: the previous
   /// round's commit carries the merged DDV, so it is larger and slower on
   /// the SAN than the next round's request — when the coordinator opens the
@@ -185,9 +194,6 @@ class Hc3iAgent : public proto::AgentBase {
   /// instead it is held here and replayed once our commit lands.  Rounds
   /// are serialised, so at most one can be pending.
   std::optional<ClcRequest> pending_request_;
-  std::uint32_t replica_acks_{0};
-  std::optional<proto::NodePart> tentative_;
-  std::optional<std::uint32_t> lost_memory_idx_;  ///< failed node (this fault)
 
   // Rollback bookkeeping.
   bool rollback_pending_{false};            ///< protocol restored, app not yet
@@ -202,15 +208,20 @@ class Hc3iAgent : public proto::AgentBase {
   std::set<std::pair<std::uint32_t, Incarnation>> alerts_seen_;
 
   // Coordinator round state.
-  bool round_active_{false};
+  struct CoordRound {                       ///< the cluster's open CLC round
+    std::uint64_t id;
+    RoundReason reason;
+    std::size_t acks{0};
+    proto::Ddv ddv_merge;                   ///< max of node DDVs this round
+  };
+  std::optional<CoordRound> coord_;
   std::uint64_t next_round_{1};
-  std::uint64_t active_round_id_{0};
-  RoundReason round_reason_{RoundReason::kInitial};
-  std::map<std::uint32_t, SeqNum> pending_raises_;  ///< cluster -> demanded SN
-  std::optional<proto::Ddv> pending_merge_;         ///< transitive extension
-  proto::Ddv round_ddv_merge_;              ///< max of node DDVs this round
+  /// coord_'s phase-1 parts by local index; kept outside it so the vector's
+  /// capacity is reused from round to round.
   std::vector<std::optional<proto::NodePart>> parts_;
-  std::size_t acks_received_{0};
+  /// Entry-wise max of the demands (and, with transitive_ddv, observed
+  /// DDVs) not yet committed; our own entry stays 0.
+  proto::Ddv demanded_;
   std::unique_ptr<sim::Timer> clc_timer_;
 
   // Pre-resolved stats handles (see stat()).
@@ -245,11 +256,13 @@ class Hc3iAgent : public proto::AgentBase {
 
   // GC initiator state (coordinator of cluster 0 only).
   std::unique_ptr<sim::Timer> gc_timer_;
-  bool gc_active_{false};
+  struct GcRound {                          ///< one §3.5 collection round
+    std::uint64_t epoch_at_start;           ///< fed_rollback_epoch() at start
+    std::vector<std::optional<std::vector<proto::ClcMeta>>> metas;
+    std::size_t responses{0};
+  };
+  std::optional<GcRound> gc_;
   std::uint64_t gc_round_{0};
-  std::uint64_t gc_epoch_at_start_{0};
-  std::vector<std::optional<std::vector<proto::ClcMeta>>> gc_metas_;
-  std::size_t gc_responses_{0};
 };
 
 }  // namespace hc3i::core

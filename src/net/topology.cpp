@@ -32,15 +32,6 @@ NodeId Topology::first_node(ClusterId c) const {
   return NodeId{first_[c.v]};
 }
 
-std::vector<NodeId> Topology::nodes_of(ClusterId c) const {
-  const std::uint32_t base = first_node(c).v;
-  const std::uint32_t n = cluster_size(c);
-  std::vector<NodeId> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(NodeId{base + i});
-  return out;
-}
-
 const config::LinkSpec& Topology::link(NodeId a, NodeId b) const {
   const ClusterId ca = cluster_of(a), cb = cluster_of(b);
   if (ca == cb) return spec_.clusters[ca.v].san;

@@ -28,8 +28,6 @@ class Topology {
   ClusterId cluster_of(NodeId n) const;
   /// First (lowest-id) node of a cluster — the default coordinator.
   NodeId first_node(ClusterId c) const;
-  /// All node ids of a cluster, in id order.
-  std::vector<NodeId> nodes_of(ClusterId c) const;
   /// Link parameters between two nodes: the cluster SAN when co-located,
   /// otherwise the inter-cluster link (paper: SAN vs LAN/WAN).
   const config::LinkSpec& link(NodeId a, NodeId b) const;

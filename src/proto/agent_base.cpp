@@ -90,8 +90,8 @@ void AgentBase::broadcast_control(
     ClusterId cluster_id, std::uint64_t bytes,
     std::shared_ptr<const net::ControlPayload> payload, bool include_self) {
   // Iterate the dense node range directly — a broadcast runs for every CLC
-  // round and GC/alert relay, and building a nodes_of() vector per call was
-  // a needless per-broadcast allocation.
+  // round and GC/alert relay, and building a node vector per call was a
+  // needless per-broadcast allocation.
   const NodeId base = ctx_.topology->first_node(cluster_id);
   const std::uint32_t size = ctx_.topology->cluster_size(cluster_id);
   for (std::uint32_t i = 0; i < size; ++i) {

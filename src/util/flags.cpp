@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/check.hpp"
 #include "util/quantity.hpp"
 
 namespace hc3i {
@@ -16,7 +15,7 @@ Flags Flags::parse(int argc, const char* const* argv) {
       continue;
     }
     arg.erase(0, 2);
-    HC3I_CHECK(!arg.empty(), "bare '--' is not a valid flag");
+    if (arg.empty()) throw FlagError("bare '--' is not a valid flag");
     // Only --name=value and bare --name (boolean) are supported; the
     // space-separated form is ambiguous next to positional arguments.
     const auto eq = arg.find('=');
@@ -38,7 +37,8 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   const auto v = parse_double(it->second);
-  HC3I_CHECK(v.has_value(), "flag --" + name + " is not a number: " + it->second);
+  if (!v) throw FlagError("flag --" + name + " is not a number: " +
+                          it->second);
   return static_cast<std::int64_t>(*v);
 }
 
@@ -46,7 +46,8 @@ double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   const auto v = parse_double(it->second);
-  HC3I_CHECK(v.has_value(), "flag --" + name + " is not a number: " + it->second);
+  if (!v) throw FlagError("flag --" + name + " is not a number: " +
+                          it->second);
   return *v;
 }
 

@@ -2,9 +2,11 @@
 
 // Minimal command-line flag parsing for the examples and bench binaries.
 //
-// Syntax: --name=value or --name value; bare --name sets a boolean flag.
-// Unknown flags are an error (typos in experiment sweeps should fail loudly,
-// not silently run the default configuration).
+// Syntax: --name=value; bare --name sets a boolean flag.  The
+// space-separated `--name value` form is not accepted: it is ambiguous next
+// to positional arguments.  Unknown flags are an error (typos in experiment
+// sweeps should fail loudly, not silently run the default configuration);
+// a binary reports a malformed flag (FlagError) as a usage error, exit 2.
 
 #include <cstdint>
 #include <map>
@@ -12,19 +14,29 @@
 #include <string>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace hc3i {
+
+/// A malformed command line.  A CheckFailure, so code that catches that
+/// still does, but a main can catch this alone without swallowing internal
+/// check failures.  Thrown even when HC3I_CHECK is compiled out.
+class FlagError : public CheckFailure {
+ public:
+  using CheckFailure::CheckFailure;
+};
 
 /// Parsed command line: flag map plus positional arguments.
 class Flags {
  public:
-  /// Parse argv. Throws CheckFailure on malformed input.
+  /// Parse argv. Throws FlagError on malformed input.
   static Flags parse(int argc, const char* const* argv);
 
   /// String flag with default.
   std::string get(const std::string& name, const std::string& def) const;
-  /// Integer flag with default (throws if present but unparsable).
+  /// Integer flag with default (FlagError if present but unparsable).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
-  /// Floating-point flag with default.
+  /// Floating-point flag with default (FlagError if unparsable).
   double get_double(const std::string& name, double def) const;
   /// Boolean flag: present (with no value or "true"/"1") => true.
   bool get_bool(const std::string& name, bool def) const;

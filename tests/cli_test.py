@@ -3,7 +3,8 @@
 output files a grid writes, exit statuses on rejected input, and the
 committed reference configuration files.  Runs as a ctest (`cli_test`):
 
-    python3 tests/cli_test.py <dir holding the built sweep and hc3i_sim>
+    python3 tests/cli_test.py <dir holding the built sweep, scale_federation
+                               and hc3i_sim>
 """
 
 import os
@@ -53,6 +54,20 @@ class Hc3iSim(unittest.TestCase):
         self.assertEqual(proc.returncode, 2, proc.stdout)
         self.assertIn("[burst] #1 (cluster 1)", proc.stderr)
         self.assertIn("the same-cluster queue cannot drain", proc.stderr)
+
+
+class MalformedFlags(unittest.TestCase):
+    """A flag the parser rejects is a usage error (exit 2), not a crash."""
+
+    def test_sweep_list_for_scalar_flag_exits_2(self):
+        proc = run("sweep", "--nodes=4,8")
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("flag --nodes is not a number: 4,8", proc.stderr)
+
+    def test_scale_federation_non_number_exits_2(self):
+        proc = run("scale_federation", "--clusters=x")
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("flag --clusters is not a number: x", proc.stderr)
 
 
 if __name__ == "__main__":

@@ -130,7 +130,17 @@ TEST(Gc, AbortsWhenRollbackRaces) {
   w.fed.inject_failure(NodeId{4});            // rollback during the round
   w.sim.run_until(minutes(15) + seconds(30));
   EXPECT_EQ(w.registry.get("gc.aborted"), 1u);
+  EXPECT_TRUE(w.runtime->gc_events().empty());
   w.settle(minutes(2));
+  EXPECT_TRUE(w.fed.ledger().validate(false).empty());
+  // The aborted round ended: the next timer round starts and prunes.
+  w.sim.run_until(minutes(31));
+  EXPECT_EQ(w.registry.get("gc.rounds"), 2u);
+  EXPECT_EQ(w.registry.get("gc.aborted"), 1u);
+  ASSERT_EQ(w.runtime->gc_events().size(), 2u);  // one record per cluster
+  for (const auto& ev : w.runtime->gc_events()) {
+    EXPECT_GT(ev.clcs_before, ev.clcs_after);
+  }
   EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.hpp"
 
 namespace hc3i::testing {
@@ -163,6 +165,59 @@ TEST(Hc3iBasic, DemandsAbsorbedByActiveRound) {
   EXPECT_TRUE(w.delivered(NodeId{4}, s1));
   EXPECT_TRUE(w.delivered(NodeId{5}, s2));
   EXPECT_EQ(w.registry.get("clc.forced.c1"), 1u);
+}
+
+TEST(Hc3iBasic, DemandsAbsorbedByActiveRoundFoldToEntrywiseMax) {
+  // Three clusters, transitive DDVs: C0's and C1's messages reach C2 at the
+  // same instant, so both demands and C1's piggybacked DDV fold into one
+  // forced round.  C0's message left early on a slow link carrying C0 SN 1;
+  // meanwhile C1 learned C0 SN 2, so entry 0 comes only from the transitive
+  // DDV.
+  config::RunSpec spec = tiny_spec(3, 2);
+  spec.topology.inter[0][2].latency = minutes(2);
+  spec.topology.inter[2][0].latency = minutes(2);
+  spec.topology.inter[1][2].latency = minutes(1);
+  spec.topology.inter[2][1].latency = minutes(1);
+  core::Hc3iOptions opts;
+  opts.transitive_ddv = true;
+  MiniWorld w(spec, 1, opts);
+  w.settle();
+  const SimTime t0 = w.sim.now();
+  const SeqNum c0_sent = w.agent(NodeId{0}).sn();
+  const proto::Ddv c0_ddv = w.agent(NodeId{0}).ddv();
+  w.send(NodeId{0}, NodeId{4});  // C0 -> C2, lands at t0 + 2 min
+  w.send(NodeId{2}, NodeId{0});  // forces C0 to SN 2
+  w.settle();
+  w.send(NodeId{0}, NodeId{2});  // C1 learns C0 SN 2
+  w.settle();
+  w.sim.run_until(t0 + minutes(1));
+  const SeqNum c1_sent = w.agent(NodeId{2}).sn();
+  const proto::Ddv c1_ddv = w.agent(NodeId{2}).ddv();
+  ASSERT_GT(c1_ddv.at(ClusterId{0}), c0_sent);  // the transitive entry wins
+  w.send(NodeId{2}, NodeId{5});  // C1 -> C2, lands with C0's message
+
+  const SeqNum before = w.agent(NodeId{4}).sn();
+  const proto::Ddv c2_ddv = w.agent(NodeId{4}).ddv();
+  ASSERT_EQ(w.registry.get("clc.forced.c2"), 0u);
+  w.settle(minutes(2));
+  EXPECT_EQ(w.registry.get("clc.forced.c2"), 1u);
+  // Entry-wise max of C2's DDV, the two demanded SNs and both piggybacked
+  // DDVs; C2's own entry is its new SN.
+  const auto entry = [&](ClusterId c, SeqNum demanded) {
+    return std::max({c2_ddv.at(c), demanded, c0_ddv.at(c), c1_ddv.at(c)});
+  };
+  const SeqNum new_sn = before + 1;
+  const proto::Ddv expected{entry(ClusterId{0}, c0_sent),
+                            entry(ClusterId{1}, c1_sent), new_sn};
+  for (const auto* a : w.runtime->cluster_agents(ClusterId{2})) {
+    EXPECT_EQ(a->sn(), new_sn);
+    EXPECT_TRUE(a->ddv() == expected);
+  }
+  const proto::ClcRecord& rec = w.runtime->store(ClusterId{2}).last();
+  EXPECT_EQ(rec.sn, new_sn);
+  EXPECT_TRUE(rec.ddv == expected);
+  EXPECT_EQ(rec.ddv.at(ClusterId{2}), new_sn);  // never raised by a peer
+  EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
 
 TEST(Hc3iBasic, ChannelStateCapturedAtCommit) {

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
+#include "obs/trace.hpp"
 #include "proto/recovery_line.hpp"
 #include "test_util.hpp"
 
@@ -195,39 +200,155 @@ TEST(Rollback, StaleInFlightMessageDropped) {
   EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
 
-TEST(Rollback, FailureDuringRoundAbortsIt) {
-  // A node dies mid-2PC; the rollback must clear the round so the cluster
-  // can checkpoint again afterwards.
+/// The phase of cluster 0's 2PC round at which a node dies.
+enum class RoundPhase {
+  kCaptureStall,   ///< storage backend charging the capture write
+  kReplicaWrites,  ///< replicas on the SAN, no phase-1 ack yet
+  kBetweenAcks,    ///< the coordinator holds some but not all acks
+  kCommitInFlight, ///< committed at the coordinator, broadcast not landed
+};
+enum class Victim { kMember, kCoordinator };
+
+/// Cluster 0's latest CLC round, as seen on the protocol event stream.
+class RoundWatch final : public obs::Subscriber {
+ public:
+  void on_record(const obs::TraceRecord& r) override {
+    if (r.cluster != 0) return;
+    switch (r.kind) {
+      case obs::RecordKind::kClcRoundBegin:
+        ++rounds;
+        writes = acks = needed = 0;
+        committed = false;
+        break;
+      case obs::RecordKind::kCkptWrite:
+        ++writes;
+        break;
+      case obs::RecordKind::kClcAck:
+        acks = r.a;
+        needed = r.b;
+        break;
+      case obs::RecordKind::kClcCommit:
+        committed = true;
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::uint64_t rounds{0};
+  std::uint64_t writes{0};
+  std::uint64_t acks{0};
+  std::uint64_t needed{0};
+  bool committed{false};
+};
+
+using RoundAbortCase = std::tuple<RoundPhase, Victim>;
+class RoundAbort : public ::testing::TestWithParam<RoundAbortCase> {};
+
+std::string case_name(const ::testing::TestParamInfo<RoundAbortCase>& info) {
+  static const char* const kPhase[] = {"CaptureStall", "ReplicaWrites",
+                                       "BetweenAcks", "CommitInFlight"};
+  return std::string(kPhase[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == Victim::kMember ? "_Member"
+                                                      : "_Coordinator");
+}
+
+TEST_P(RoundAbort, FailureDuringRoundAbortsIt) {
+  // A node dies mid-2PC; the rollback must end the round on every node so
+  // the cluster can checkpoint again, and nothing of the aborted round (its
+  // absorbed demand included) may reach a later committed DDV.
+  const auto [phase, victim] = GetParam();
   config::RunSpec spec = tiny_spec(2, 3);
   spec.application.state_bytes = 50 * 1024 * 1024;  // seconds-long round
-  spec.timers.clusters[0].clc_period = minutes(5);
-  MiniWorld w(spec, 1);
-  w.settle(seconds(1));
-  ASSERT_TRUE(w.agent(NodeId{0}).in_round());
-  // The initial round is still open: fault now. (The initial CLC has not
-  // committed yet, so the store is empty — the failure detector fires
-  // after the commit in practice; make sure a *later* round aborts.)
-  w.settle(seconds(30));  // initial CLC committed
-  w.sim.run_until(minutes(5));
-  while (!w.agent(NodeId{0}).in_round() && w.sim.now() < minutes(9)) {
-    ASSERT_TRUE(w.sim.step());
+  spec.timers.clusters[1].clc_period = minutes(3);
+  if (phase == RoundPhase::kCaptureStall) {
+    spec.topology.clusters[0].storage.kind =
+        config::StorageSpec::Kind::kLocalDisk;
   }
-  ASSERT_TRUE(w.agent(NodeId{0}).in_round());  // timer round in flight
-  w.fed.inject_failure(NodeId{2});
-  w.settle(minutes(2));
-  EXPECT_FALSE(w.agent(NodeId{0}).in_round());
-  // The cluster can still commit CLCs after the aborted round.
-  w.sim.run_until(w.sim.now() + minutes(6));
-  EXPECT_GE(w.runtime->store(ClusterId{0}).last().sn, 2u);
+  MiniWorld w(spec, 1);
+  RoundWatch watch;
+  w.fed.events().subscribe(watch);
+  const auto c0 = w.runtime->cluster_agents(ClusterId{0});
+  const auto exchange = [&](NodeId src, NodeId dst) {
+    w.send(src, dst);
+    w.settle(minutes(1));
+  };
+  // C0 SN 2 depends on C1 SN 2, and C1's SN 3 on C0 SN 2; C1's timer then
+  // takes SN 4.  A C0 rollback to SN 2 cascades C1 back to SN 3.
+  w.settle(minutes(1));
+  exchange(NodeId{0}, NodeId{3});
+  exchange(NodeId{3}, NodeId{0});
+  exchange(NodeId{0}, NodeId{3});
+  w.sim.run_until(minutes(7));
+  ASSERT_EQ(w.agent(NodeId{3}).sn(), 4u);
+  ASSERT_EQ(w.agent(NodeId{0}).sn(), 2u);
+
+  // C1's SN 4 forces a round in C0 that absorbs the demand for it.
+  w.send(NodeId{3}, NodeId{1});
+  const std::uint64_t rounds = watch.rounds;
+  const auto reached = [&] {
+    if (watch.rounds == rounds) return false;
+    switch (phase) {
+      case RoundPhase::kCaptureStall:
+        return watch.writes == c0.size();
+      case RoundPhase::kReplicaWrites:
+        return watch.acks == 0 &&
+               std::all_of(c0.begin(), c0.end(),
+                           [](const auto* a) { return a->in_round(); });
+      case RoundPhase::kBetweenAcks:
+        return watch.acks > 0 && watch.acks < watch.needed;
+      case RoundPhase::kCommitInFlight:
+        return watch.committed;
+    }
+    return false;
+  };
+  while (!reached() && w.sim.now() < minutes(9)) ASSERT_TRUE(w.sim.step());
+  ASSERT_TRUE(reached());
+  ASSERT_TRUE(w.agent(NodeId{2}).in_round());  // commit not yet landed
+  w.fed.inject_failure(victim == Victim::kMember ? NodeId{2} : NodeId{0});
+  w.settle(minutes(1));
+  EXPECT_EQ(w.registry.get("fault.recovery_complete"), 1u);
+  for (std::uint32_t n = 0; n < 6; ++n) {
+    EXPECT_FALSE(w.agent(NodeId{n}).in_round()) << "node " << n;
+  }
+  if (phase != RoundPhase::kCommitInFlight) {
+    EXPECT_EQ(w.agent(NodeId{3}).sn(), 3u);  // the demanded SN is undone
+  }
+
+  // The next round commits, with no entry from the aborted one.
+  const std::uint64_t forced = w.registry.get("clc.forced.c0");
+  exchange(NodeId{0}, NodeId{3});
+  exchange(NodeId{3}, NodeId{0});
+  EXPECT_EQ(w.registry.get("clc.forced.c0"), forced + 1);
+  for (const auto* a : c0) {
+    EXPECT_FALSE(a->in_round());
+    EXPECT_EQ(a->sn(), w.runtime->store(ClusterId{0}).last().sn);
+    EXPECT_TRUE(a->ddv() == c0.front()->ddv());
+  }
+  for (const auto& rec : w.runtime->store(ClusterId{0}).records()) {
+    EXPECT_LE(rec.ddv.at(ClusterId{1}), w.agent(NodeId{3}).sn())
+        << "C0 SN " << rec.sn << " depends on a C1 SN C1 does not hold";
+  }
   EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Phases, RoundAbort,
+    ::testing::Combine(::testing::Values(RoundPhase::kCaptureStall,
+                                         RoundPhase::kReplicaWrites,
+                                         RoundPhase::kBetweenAcks,
+                                         RoundPhase::kCommitInFlight),
+                       ::testing::Values(Victim::kMember,
+                                         Victim::kCoordinator)),
+    case_name);
 
 TEST(Rollback, FailureBetweenPhase1AcksLeavesNoStaleDdv) {
   // Regression for the coordinator round-scratch lifecycle: a failure that
   // aborts a 2PC round between its phase-1 acks (incarnation bump
   // mid-round) must not let the aborted round's merged DDV, absorbed
   // demands or tentative parts leak into a later round's committed DDV
-  // (apply_cluster_rollback clears parts_/round_ddv_merge_/pending_*).
+  // (apply_cluster_rollback resets the round structs and zeroes the
+  // absorbed demands).
   config::RunSpec spec = tiny_spec(2, 3);
   spec.application.state_bytes = 50 * 1024 * 1024;  // seconds-long phase 1
   MiniWorld w(spec, 3);

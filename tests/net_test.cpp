@@ -29,12 +29,16 @@ TEST(Topology, DenseNumbering) {
   EXPECT_EQ(topo.cluster_size(ClusterId{1}), 5u);
 }
 
-TEST(Topology, NodesOfCluster) {
+TEST(Topology, ClusterIsDenseNodeRange) {
+  // A cluster's nodes are [first_node, first_node + cluster_size): the
+  // range broadcasts and the coordinator search iterate.
   const Topology topo = make_topo(2, 3);
-  const auto nodes = topo.nodes_of(ClusterId{1});
-  ASSERT_EQ(nodes.size(), 3u);
-  EXPECT_EQ(nodes[0], NodeId{3});
-  EXPECT_EQ(nodes[2], NodeId{5});
+  ASSERT_EQ(topo.first_node(ClusterId{1}), NodeId{3});
+  ASSERT_EQ(topo.cluster_size(ClusterId{1}), 3u);
+  for (std::uint32_t n = 3; n < 6; ++n) {
+    EXPECT_EQ(topo.cluster_of(NodeId{n}), ClusterId{1}) << "node " << n;
+  }
+  EXPECT_EQ(topo.cluster_of(NodeId{2}), ClusterId{0});
 }
 
 TEST(Topology, LinkSelection) {

@@ -296,6 +296,9 @@ TEST(Flags, BadNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const Flags f = Flags::parse(2, argv);
   EXPECT_THROW(f.get_int("n", 0), CheckFailure);
+  EXPECT_THROW(f.get_double("n", 0.0), FlagError);
+  const char* bare[] = {"prog", "--"};
+  EXPECT_THROW(Flags::parse(2, bare), FlagError);
 }
 
 TEST(Flags, SplitListDropsEmptyTokens) {
