@@ -37,9 +37,9 @@ double forced_total(bool transitive, int seeds) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 5));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 5));
 
   bench::print_header(
       "Ablation A1", "Transitive DDV piggybacking (paper §7)",
@@ -58,4 +58,7 @@ int main(int argc, char** argv) {
               "(one SeqNum per cluster).\n",
               static_cast<int>(3 * sizeof(SeqNum)));
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -59,9 +59,9 @@ Row measure(driver::ProtocolKind kind, int seeds) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 3));
 
   bench::print_header(
       "Ablation A2/A3", "Protocol comparison under failures",
@@ -92,4 +92,7 @@ int main(int argc, char** argv) {
       "paper's own caveat (§5.3): outside the code-coupling regime most\n"
       "messages force a CLC.\n");
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

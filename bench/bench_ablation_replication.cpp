@@ -11,7 +11,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
@@ -46,4 +46,7 @@ int main(int argc, char** argv) {
               "read the failed node's part; a real deployment would lose it —\n"
               "degree >= 1 is the minimum for genuine fault tolerance.\n");
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

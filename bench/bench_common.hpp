@@ -18,17 +18,27 @@
 
 namespace hc3i::bench {
 
-/// One run of the paper §5.2 reference scenario.
-inline driver::RunResult run_reference(SimTime timer0, SimTime timer1,
-                                       double messages_1_to_0,
-                                       SimTime gc_period, std::uint64_t seed) {
+/// Options of one run of the paper §5.2 reference scenario.
+inline driver::RunOptions reference_options(SimTime timer0, SimTime timer1,
+                                            double messages_1_to_0,
+                                            SimTime gc_period,
+                                            std::uint64_t seed) {
   driver::RunOptions opts;
   opts.spec.topology = config::paper_reference_topology();
   opts.spec.application = config::paper_reference_application(messages_1_to_0);
   opts.spec.timers =
       config::paper_reference_timers(timer0, timer1, gc_period);
   opts.seed = seed;
-  return driver::run_simulation(opts);
+  return opts;
+}
+
+/// One run of the paper §5.2 reference scenario.
+inline driver::RunResult run_reference(SimTime timer0, SimTime timer1,
+                                       double messages_1_to_0,
+                                       SimTime gc_period, std::uint64_t seed) {
+  return driver::run_simulation(reference_options(timer0, timer1,
+                                                  messages_1_to_0, gc_period,
+                                                  seed));
 }
 
 /// Seed-averaged committed-CLC counts for one timer configuration.

@@ -10,9 +10,9 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 3));
 
   bench::print_header(
       "Figure 6", "Interval Between CLCs Influence in Cluster 0",
@@ -32,4 +32,7 @@ int main(int argc, char** argv) {
                                    {forced, unforced})
                   .c_str());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -11,9 +11,9 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 3));
 
   bench::print_header(
       "Figure 7", "Interval Between CLCs Influence in Cluster 1",
@@ -33,4 +33,7 @@ int main(int argc, char** argv) {
                                    {forced, unforced})
                   .c_str());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -10,9 +10,9 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 3));
 
   bench::print_header(
       "Figure 9", "Increasing Communication from Cluster 1 to Cluster 0",
@@ -36,4 +36,7 @@ int main(int argc, char** argv) {
                                    {total0, forced0, total1, forced1})
                   .c_str());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -429,7 +429,7 @@ int main(int argc, char** argv) try {
     dump_counters();
     return 0;
   }
-  const auto seeds = static_cast<std::uint64_t>(flags.get_int("seeds", 1));
+  const auto seeds = static_cast<std::uint64_t>(flags.get_count("seeds", 1));
   if (seeds < 1) {
     std::fprintf(stderr, "--seeds must be >= 1\n");
     return 2;

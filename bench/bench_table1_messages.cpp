@@ -7,9 +7,9 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
+  const int seeds = static_cast<int>(flags.get_count("seeds", 3));
 
   bench::print_header("Table 1", "Application messages",
                       "2920 / 2497 intra, 145 / 11 inter over 10 h");
@@ -37,4 +37,7 @@ int main(int argc, char** argv) {
       .cell(c1c0.mean(), 1);
   std::printf("%s\n", t.to_ascii().c_str());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -10,7 +10,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
@@ -69,4 +69,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(gc.counter("log.max_entries.c0")),
               static_cast<unsigned long long>(gc.counter("log.max_entries.c1")));
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

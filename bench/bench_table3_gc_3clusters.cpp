@@ -8,7 +8,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
@@ -45,4 +45,7 @@ int main(int argc, char** argv) {
   std::printf("Paper Table 3: before 30/48/54/38 (c0), 50/80/78/64 (c1 and "
               "c2), after always 2.\n");
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -46,7 +46,7 @@ config::RunSpec pipeline_spec(std::int64_t run_hours, std::int64_t clc_min) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   const config::RunSpec spec =
       pipeline_spec(flags.get_int("hours", 10), flags.get_int("clc-min", 30));
@@ -90,4 +90,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.counter("store.final_clcs.c2")));
   std::printf("  consistency violations: %zu\n", result.violations.size());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

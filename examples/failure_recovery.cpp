@@ -14,7 +14,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
 
   driver::RunOptions opts;
@@ -54,4 +54,7 @@ int main(int argc, char** argv) {
               result.violations.size(),
               static_cast<unsigned long long>(result.counter("ledger.total_events")));
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

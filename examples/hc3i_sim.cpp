@@ -54,7 +54,7 @@ bool parse_trace(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   if (flags.positional().size() != 3) {
     std::fprintf(stderr,
@@ -128,4 +128,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hc3i_sim: %s\n", e.what());
     return 2;
   }
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

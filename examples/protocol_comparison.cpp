@@ -14,7 +14,7 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   driver::RunOptions opts;
   opts.spec = config::small_test_spec(2, 10);
@@ -52,4 +52,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.counter("net.ctl.intra.bytes")));
   std::printf("consistency violations   : %zu\n", r.violations.size());
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

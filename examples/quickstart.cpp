@@ -17,10 +17,10 @@
 
 using namespace hc3i;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
-  const auto clusters = static_cast<std::size_t>(flags.get_int("clusters", 2));
-  const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 8));
+  const std::size_t clusters = flags.get_count("clusters", 2);
+  const std::uint32_t nodes = flags.get_count("nodes", 8);
 
   driver::RunOptions opts;
   opts.spec = config::small_test_spec(clusters, nodes);
@@ -65,4 +65,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   result.counter("ledger.total_events")));
   return 0;
+} catch (const FlagError& e) {  // malformed flag: a usage error
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -92,9 +92,9 @@ int main(int argc, char** argv) try {
   // same (topology, campaign, storage, seed) are the same RunOptions.
   batch::SweepSpec sweep;
   sweep.topologies = {batch::scale_topology(
-      static_cast<std::size_t>(flags.get_int("clusters", 10)),
-      static_cast<std::uint32_t>(flags.get_int("nodes", 100)),
-      minutes(flags.get_int("minutes", 30)))};
+      flags.get_count("clusters", 10), flags.get_count("nodes", 100),
+      // At most a simulated year, far from SimTime's nanosecond range.
+      minutes(flags.get_count("minutes", 30, 525'600)))};
   sweep.campaigns = {faulty    ? batch::reference_campaign()
                      : overlap ? batch::overlap_campaign()
                                : batch::no_campaign()};

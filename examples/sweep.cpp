@@ -284,9 +284,9 @@ int main(int argc, char** argv) try {
       return 2;
     }
   } else {
-    const auto nodes =
-        static_cast<std::uint32_t>(flags.get_int("nodes", 100));
-    const SimTime total = minutes(flags.get_int("minutes", 10));
+    const std::uint32_t nodes = flags.get_count("nodes", 100);
+    // At most a simulated year, far from SimTime's nanosecond range.
+    const SimTime total = minutes(flags.get_count("minutes", 10, 525'600));
     for (const std::string& tok : split_list(flags.get("clusters", "2,5,10"))) {
       const auto v = parse_uint(tok);
       if (!v || *v < 1) {

@@ -92,9 +92,9 @@ void PessimisticAgent::on_message(const net::Envelope& env) {
 void PessimisticAgent::on_failure_detected(NodeId failed) {
   // Only the failed node rolls back — the defining property of the
   // message-logging family.
-  ctx_.registry->inc("rollback.faults");
-  ctx_.registry->inc("rollback.count");
-  ctx_.registry->inc("rollback.nodes");  // node-scope rollback
+  ctx_.registry->counter("rollback.faults").inc();
+  ctx_.registry->counter("rollback.count").inc();
+  ctx_.registry->counter("rollback.nodes").inc();  // node-scope rollback
   PessimisticAgent* victim = rt_.agents()[failed.v];
   victim->restore_failed_node();
 }
@@ -103,7 +103,7 @@ void PessimisticAgent::restore_failed_node() {
   const proto::AppSnapshot current = ctx_.app->snapshot();
   const SimTime lost = current.virtual_work - checkpoint_.virtual_work;
   if (lost.ns > 0) {
-    ctx_.registry->observe("rollback.lost_work_s", lost.seconds());
+    ctx_.registry->summary_handle("rollback.lost_work_s").add(lost.seconds());
   }
   ctx_.ledger->undo_after_node(self(), checkpoint_mark_);
   // Deliveries since the checkpoint are undone and must be replayed from
@@ -112,7 +112,8 @@ void PessimisticAgent::restore_failed_node() {
   for (const net::Envelope& env : receive_log_) dedup_.erase(env.app_seq);
   rollback_pending_ = true;
   ctx_.app->freeze();
-  ctx_.registry->observe("rollback.clusters_rolled", 0.0);  // node-scope only
+  // Node-scope only: no cluster rolls back.
+  ctx_.registry->summary_handle("rollback.clusters_rolled").add(0.0);
 
   const auto& san = rt_.spec().topology.clusters[cluster().v].san;
   SimTime delay = san.latency;

@@ -223,7 +223,9 @@ RunResult run_simulation(const RunOptions& opts, SimContext& ctx) {
     if (sampler) recording->samples = sampler->take_samples();
     result.obs = std::move(recording);
   }
-  result.registry = registry;
+  // Moved, not copied: map nodes survive the move, so the handles the
+  // agents cached stay valid until they are destroyed with this scope.
+  result.registry = std::move(registry);
   result.end_time = sim.now();
   result.events_executed = sim.events_executed();
   result.census_pairs = fed.network().census_active_pairs();

@@ -83,7 +83,7 @@ void Federation::inject_failure(NodeId victim) {
   HC3I_CHECK(network_.node_up(victim), "inject_failure: node already down");
   recovery_pending_[c.v] = 1;
   ++failures_;
-  registry_.inc("fault.injected");
+  registry_.counter("fault.injected").inc();
   HC3I_OBS(events_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);
 
@@ -96,14 +96,14 @@ void Federation::inject_failure(NodeId victim) {
   // The victim restarts from its neighbour's replica after the transfer.
   sim_.schedule_after(detect + state_restore_delay(c), [this, victim, c] {
     network_.set_node_up(victim);
-    registry_.inc("fault.node_restored");
+    registry_.counter("fault.node_restored").inc();
     HC3I_OBS(events_, obs::RecordKind::kNodeRestored, sim_.now(), c.v,
              victim.v, 0);
   });
 }
 
 void Federation::recovery_complete(ClusterId c) {
-  registry_.inc("fault.recovery_complete");
+  registry_.counter("fault.recovery_complete").inc();
   recovery_pending_[c.v] = 0;
   // After the pending flag clears: the campaign engine re-injects queued
   // kills into this cluster from here.

@@ -199,7 +199,7 @@ void Hc3iAgent::on_app_message(const net::Envelope& env) {
   if (!env.intra_cluster() && is_stale(env)) {
     // A pre-rollback message from an undone epoch of the sender; the new
     // incarnation will re-send it (docs/architecture.md, refinement R1).
-    ctx_.registry->inc("cic.stale_dropped");
+    named_stat(stat_stale_dropped_, "cic.stale_dropped").inc();
     return;
   }
   if (rollback_pending_) {
@@ -260,7 +260,7 @@ void Hc3iAgent::receive_inter_app(const net::Envelope& env) {
   if (dedup_.contains(env.app_seq)) {
     // Duplicate of an already-delivered message (a re-send raced with the
     // original copy). Re-acknowledge so the sender's log entry settles.
-    ctx_.registry->inc("cic.dup_dropped");
+    named_stat(stat_dup_dropped_, "cic.dup_dropped").inc();
     auto ack = proto::make_pooled<InterAck>();
     ack->msg = env.id;
     ack->ack_sn = sn_;
@@ -311,7 +311,7 @@ void Hc3iAgent::drain_wait_queue() {
   std::vector<net::Envelope> still_waiting;
   for (const net::Envelope& env : wait_force_) {
     if (is_stale(env)) {
-      ctx_.registry->inc("cic.stale_dropped");
+      named_stat(stat_stale_dropped_, "cic.stale_dropped").inc();
       continue;
     }
     if (!cic_should_force(env)) {
@@ -699,7 +699,7 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   const proto::AppSnapshot current = ctx_.app->snapshot();
   const SimTime lost = current.virtual_work - rec.parts[idx].app.virtual_work;
   if (lost.ns > 0) {
-    ctx_.registry->observe("rollback.lost_work_s", lost.seconds());
+    ctx_.registry->summary_handle("rollback.lost_work_s").add(lost.seconds());
   }
 
   sn_ = rec.sn;
@@ -740,7 +740,7 @@ void Hc3iAgent::resume_after_rollback(const proto::ClcRecord& rec) {
 void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
   HC3I_CHECK(m.faulty != cluster(), "alert from own cluster");
   if (!alerts_seen_.insert({m.faulty.v, m.new_inc}).second) return;
-  ctx_.registry->inc("rollback.alerts");
+  named_stat(stat_alerts_, "rollback.alerts").inc();
   if (known_rollbacks_.empty()) known_rollbacks_.resize(rt_.cluster_count());
   known_rollbacks_[m.faulty.v].push_back(
       RollbackInfo{m.new_inc, m.restored_sn});
@@ -794,7 +794,7 @@ void Hc3iAgent::on_gc_timer() {
   ++gc_round_;
   gc_.emplace(rt_.fed_rollback_epoch());
   gc_->metas.resize(rt_.cluster_count());
-  ctx_.registry->inc("gc.rounds");
+  ctx_.registry->counter("gc.rounds").inc();
   HC3I_OBS(events(), obs::RecordKind::kGcRoundBegin, now(), cluster().v,
            self().v, gc_round_);
   auto req = proto::make_pooled<GcRequest>();
@@ -840,7 +840,7 @@ void Hc3iAgent::handle_gc_response(const GcResponse& m) {
   gc_.reset();
   if (rt_.fed_rollback_epoch() != round.epoch_at_start) {
     // A rollback raced with this GC round; the snapshots are inconsistent.
-    ctx_.registry->inc("gc.aborted");
+    ctx_.registry->counter("gc.aborted").inc();
     return;
   }
   std::vector<std::vector<proto::ClcMeta>> metas;
@@ -885,7 +885,9 @@ void Hc3iAgent::handle_gc_prune(const GcPrune& m) {
         log_.prune(ClusterId{static_cast<std::uint32_t>(d)}, m.min_sns[d]);
   }
   sync_log_totals();
-  if (removed > 0) ctx_.registry->inc("gc.log_entries_removed", removed);
+  if (removed > 0) {
+    ctx_.registry->counter("gc.log_entries_removed").inc(removed);
+  }
 }
 
 }  // namespace hc3i::core

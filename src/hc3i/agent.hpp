@@ -242,6 +242,9 @@ class Hc3iAgent : public proto::AgentBase {
   stats::Counter* stat_rollback_cascade_{nullptr};
   stats::Counter* stat_gc_removed_{nullptr};
   stats::Counter* stat_gc_resp_saved_{nullptr};
+  stats::Counter* stat_stale_dropped_{nullptr};
+  stats::Counter* stat_dup_dropped_{nullptr};
+  stats::Counter* stat_alerts_{nullptr};
   // Checkpoint-storage accounting (only touched when a backend is
   // configured, so storage-off dumps stay byte-identical to the seed).
   stats::Counter* stat_ckpt_bytes_{nullptr};

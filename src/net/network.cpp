@@ -13,7 +13,8 @@ Network::Network(sim::Simulation& sim, const Topology& topo,
       deliver_(topo.node_count()),
       up_(topo.node_count(), true),
       park_head_(topo.node_count(), kNil),
-      park_tail_(topo.node_count(), kNil) {}
+      park_tail_(topo.node_count(), kNil),
+      pair_census_(topo.cluster_count() * topo.cluster_count(), nullptr) {}
 
 void Network::attach(NodeId n, DeliverFn deliver) {
   HC3I_CHECK(n.v < deliver_.size(), "attach: bad node id");
@@ -33,14 +34,16 @@ void Network::count_send(const Envelope& env) {
   tc.msgs->inc();
   tc.bytes->inc(env.wire_bytes());
   if (app) {
-    // Per-cluster-pair census — this is Table 1 of the paper.  A sparse
-    // table of pre-resolved handles keyed by the pair actually touched
-    // (memory scales with active pairs, not clusters²); the name string is
-    // built once per pair per run, not once per message.
-    stats::Counter*& cell = pair_census_.slot(env.src_cluster, env.dst_cluster);
+    // Per-cluster-pair census — this is Table 1 of the paper.  A dense
+    // clusters x clusters table of handles, each resolved on first touch,
+    // so the name string is built once per pair per run, not per message.
+    stats::Counter*& cell =
+        pair_census_[env.src_cluster.v * topo_.cluster_count() +
+                     env.dst_cluster.v];
     if (!cell) {
       cell = &reg_.counter("net.app.pair." + std::to_string(env.src_cluster.v) +
                            "." + std::to_string(env.dst_cluster.v));
+      ++census_active_pairs_;
     }
     cell->inc();
   }

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "net/pair_census.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
@@ -88,15 +87,15 @@ class Network {
   /// Number of messages currently in flight or parked.
   std::size_t in_flight_count() const { return live_flights_; }
 
+  /// The federation layout this network routes over.
+  const Topology& topology() const { return topo_; }
+
   /// Total messages ever sent.
   std::uint64_t total_sent() const { return next_msg_id_; }
 
   /// Distinct (src cluster, dst cluster) pairs that carried application
-  /// traffic — the census footprint (scales with active pairs, not
-  /// clusters²; see pair_census.hpp).
-  std::size_t census_active_pairs() const {
-    return pair_census_.active_pairs();
-  }
+  /// traffic.
+  std::size_t census_active_pairs() const { return census_active_pairs_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -147,7 +146,9 @@ class Network {
   // Census handles, resolved on first touch so a run's counter set (and its
   // dump) stays exactly what the traffic actually produced.
   TrafficCounters traffic_[2][2];  ///< [is_app][is_intra]
-  PairCensus pair_census_;         ///< sparse (src, dst) cluster-pair census
+  /// Dense (src, dst) cluster-pair census, indexed src * clusters + dst.
+  std::vector<stats::Counter*> pair_census_;
+  std::size_t census_active_pairs_{0};  ///< resolved cells of pair_census_
 };
 
 }  // namespace hc3i::net

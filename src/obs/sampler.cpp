@@ -1,5 +1,7 @@
 #include "obs/sampler.hpp"
 
+#include <string>
+
 #include "util/check.hpp"
 
 namespace hc3i::obs {
@@ -19,8 +21,13 @@ void MetricsSampler::arm(SimTime until) {
 void MetricsSampler::tick(SimTime until) {
   MetricsSample s;
   s.t = sim_.now();
-  s.clc_forced = registry_.get("clc.forced");
-  s.clc_total = registry_.get("clc.total");
+  // The agents count CLCs per cluster only; the columns are federation
+  // totals.
+  for (std::size_t c = 0; c < network_.topology().cluster_count(); ++c) {
+    const std::string suffix = ".c" + std::to_string(c);
+    s.clc_forced += registry_.get("clc.forced" + suffix);
+    s.clc_total += registry_.get("clc.total" + suffix);
+  }
   s.in_flight = network_.in_flight_count();
   s.app_delivered = registry_.get("app.delivered");
   s.log_resent_bytes = registry_.get("log.resent_bytes");

@@ -23,9 +23,9 @@ net::Envelope AgentBase::send_app(NodeId dst, std::uint64_t bytes,
 net::Envelope AgentBase::resend_app(const net::Envelope& original) {
   net::Envelope env = original;
   ctx_.ledger->record_send(env.app_seq, self(), cluster(), now());
-  ctx_.registry->inc("log.resent_msgs");
+  named_stat(stat_resent_msgs_, "log.resent_msgs").inc();
   // Replay cost in bytes (recovery telemetry reports it per incident).
-  ctx_.registry->inc("log.resent_bytes", env.payload_bytes);
+  named_stat(stat_resent_bytes_, "log.resent_bytes").inc(env.payload_bytes);
   env.sent_at = now();
   env.id = ctx_.network->send(env);
   return env;

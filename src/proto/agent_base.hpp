@@ -83,6 +83,9 @@ class AgentBase : public ProtocolAgent {
   /// Schedule `payload` for immediate local processing through on_message.
   void deliver_control_locally(
       std::uint64_t bytes, std::shared_ptr<const net::ControlPayload> payload);
+
+  stats::Counter* stat_resent_msgs_{nullptr};
+  stats::Counter* stat_resent_bytes_{nullptr};
 };
 
 }  // namespace hc3i::proto

@@ -2,20 +2,22 @@
 
 // Named metric registry.
 //
-// Protocol components increment named counters ("clc.forced", "msg.inter",
-// "rollback.clusters", ...) without knowing who will read them; benches and
-// tests read them by name after the run.  One registry per simulation run —
-// never global, so parallel parameter sweeps don't share state.
+// Protocol components increment named counters ("clc.forced.c0",
+// "msg.inter", "rollback.clusters", ...) without knowing who will read
+// them; benches and tests read them by name after the run.  One registry per
+// simulation run — never global, so parallel parameter sweeps don't share
+// state.
 //
-// Hot paths resolve a name ONCE into a handle (`Counter&` / `Summary&`) and
+// Writers resolve a name ONCE into a handle (`Counter&` / `Summary&`) and
 // bump through it; the per-call cost is then a single add, not a string
-// construction plus a tree walk.  Names are interned in an open-addressing
-// hash table that maps to dense indices; the values live in chunked slabs so
-// handles stay valid as the registry grows.  The original name-keyed API is
-// kept as a thin shim over the same storage, so results read identically.
+// construction plus a tree walk.  Values live in std::map nodes, which never
+// move: a handle stays valid as the registry grows and across a move of the
+// whole registry into another object.  Iteration is already in name order,
+// so dumps need no sort.
 
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,118 +45,37 @@ class Counter {
   std::uint64_t v_{0};
 };
 
-namespace detail {
-
-/// Open-addressing (linear probe, power-of-two capacity) map from interned
-/// name to dense index.  Indices are handed out in interning order.
-class NameIndex {
- public:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  /// Index of `name`, interning it if absent.
-  std::uint32_t intern(std::string_view name);
-  /// Index of `name`, or kNone — never interns.
-  std::uint32_t find(std::string_view name) const;
-
-  const std::vector<std::string>& names() const { return names_; }
-  std::size_t size() const { return names_.size(); }
-
- private:
-  void rehash(std::size_t capacity);
-
-  std::vector<std::string> names_;   ///< dense, indexed by interned id
-  std::vector<std::uint32_t> slots_; ///< probe table holding index+1 (0=empty)
-};
-
-/// Chunked value storage: grows like a vector but never relocates elements,
-/// so references into it (the handles) stay valid.
-template <typename T>
-class Slab {
- public:
-  static constexpr std::size_t kChunkShift = 8;  // 256 values per chunk
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-
-  /// Element `i`, allocating chunks as needed to cover it.
-  T& ensure(std::uint32_t i) {
-    const std::size_t chunk = i >> kChunkShift;
-    while (chunks_.size() <= chunk) {
-      chunks_.push_back(std::make_unique<T[]>(kChunkSize));
-    }
-    return chunks_[chunk][i & (kChunkSize - 1)];
-  }
-
-  const T& at(std::uint32_t i) const {
-    return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
-  }
-
- private:
-  std::vector<std::unique_ptr<T[]>> chunks_;
-};
-
-}  // namespace detail
-
 /// Per-run metric registry: monotonically increasing counters plus
 /// observation summaries.
 class Registry {
  public:
-  Registry() = default;
-  Registry(const Registry& o) { copy_from(o); }
-  Registry& operator=(const Registry& o) {
-    if (this != &o) {
-      *this = Registry();  // reset via move
-      copy_from(o);
-    }
-    return *this;
-  }
-  Registry(Registry&&) noexcept = default;
-  Registry& operator=(Registry&&) noexcept = default;
-
-  // --- handle API (hot paths: resolve once, bump forever) ---
-
   /// Handle to a named counter (created at zero on first resolution).  The
   /// reference stays valid for the registry's lifetime.
-  Counter& counter(std::string_view name) {
-    return counters_.ensure(counter_names_.intern(name));
-  }
+  Counter& counter(std::string_view name) { return slot(counters_, name); }
 
   /// Handle to a named summary (created empty on first resolution).  The
   /// reference stays valid for the registry's lifetime.
   Summary& summary_handle(std::string_view name) {
-    return summaries_.ensure(summary_names_.intern(name));
+    return slot(summaries_, name);
   }
 
-  // --- name-keyed compatibility shim over the same storage ---
-
-  /// Add `delta` to a named counter (creates it at zero first).
-  void inc(std::string_view name, std::uint64_t delta = 1) {
-    counter(name).inc(delta);
-  }
-
-  /// Set a counter to an absolute value (gauges, e.g. high-water marks).
+  /// Set a counter to an absolute value (end-of-run gauges).
   void set(std::string_view name, std::uint64_t value) {
     counter(name).set(value);
-  }
-
-  /// Raise a gauge to `value` if it is below it (high-water-mark update).
-  void raise(std::string_view name, std::uint64_t value) {
-    counter(name).raise(value);
   }
 
   /// Current value of a counter (0 if never touched).
   std::uint64_t get(std::string_view name) const;
 
-  /// Record an observation into a named summary.
-  void observe(std::string_view name, double x) { summary_handle(name).add(x); }
-
   /// Read a named summary.  The returned reference is the live slot: a
-  /// later observe() of the same name updates what it sees (reading an
-  /// untouched name interns an empty summary — count() stays 0 until
-  /// someone observes into it).
+  /// later add() through a handle of the same name updates what it sees
+  /// (reading an untouched name creates an empty summary — count() stays 0
+  /// until someone observes into it).
   const Summary& summary(std::string_view name) const {
-    return summaries_.ensure(summary_names_.intern(name));
+    return slot(summaries_, name);
   }
 
-  /// Read a named summary without interning it: null if never touched.
+  /// Read a named summary without creating it: null if never touched.
   const Summary* find_summary(std::string_view name) const;
 
   /// All counter names in lexicographic order (for dumps).
@@ -164,15 +85,24 @@ class Registry {
   std::string dump() const;
 
  private:
-  void copy_from(const Registry& o);
+  template <typename T>
+  using NameMap = std::map<std::string, T, std::less<>>;
 
-  detail::NameIndex counter_names_;
-  mutable detail::NameIndex summary_names_;
-  detail::Slab<Counter> counters_;
-  // Summaries are interned (not copied) by const reads so the reference a
-  // reader holds is the same slot a later observe() writes — the registry
+  /// The value stored under `name`, created value-initialised if absent.
+  template <typename T>
+  static T& slot(NameMap<T>& map, std::string_view name) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) {
+      it = map.emplace_hint(it, std::string(name), T{});
+    }
+    return it->second;
+  }
+
+  NameMap<Counter> counters_;
+  // Summaries are created (not copied) by const reads so the reference a
+  // reader holds is the same slot a later observation writes — the registry
   // is logically unchanged by the read.
-  mutable detail::Slab<Summary> summaries_;
+  mutable NameMap<Summary> summaries_;
 };
 
 /// Resolve-once helper for hot-path handles: `slot` caches the resolved

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "util/quantity.hpp"
@@ -36,10 +37,24 @@ std::string Flags::get(const std::string& name, const std::string& def) const {
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  const auto v = parse_double(it->second);
-  if (!v) throw FlagError("flag --" + name + " is not a number: " +
-                          it->second);
-  return static_cast<std::int64_t>(*v);
+  const std::string& text = it->second;
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw FlagError("flag --" + name + " is not a whole number: " + text);
+  }
+  return v;
+}
+
+std::uint32_t Flags::get_count(const std::string& name, std::uint32_t def,
+                               std::uint32_t max) const {
+  const std::int64_t v = get_int(name, def);
+  if (v < 1 || v > max) {
+    throw FlagError("flag --" + name + " wants a count from 1 to " +
+                    std::to_string(max) + ", got " + get(name, ""));
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 double Flags::get_double(const std::string& name, double def) const {

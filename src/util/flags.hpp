@@ -34,8 +34,13 @@ class Flags {
 
   /// String flag with default.
   std::string get(const std::string& name, const std::string& def) const;
-  /// Integer flag with default (FlagError if present but unparsable).
+  /// Integer flag with default (FlagError unless present as a whole
+  /// integer in range).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Count flag (nodes, clusters, minutes, seeds) with default: a whole
+  /// integer from 1 to `max`, else FlagError.
+  std::uint32_t get_count(const std::string& name, std::uint32_t def,
+                          std::uint32_t max = 0xffffffffu) const;
   /// Floating-point flag with default (FlagError if unparsable).
   double get_double(const std::string& name, double def) const;
   /// Boolean flag: present (with no value or "true"/"1") => true.

@@ -3,8 +3,7 @@
 output files a grid writes, exit statuses on rejected input, and the
 committed reference configuration files.  Runs as a ctest (`cli_test`):
 
-    python3 tests/cli_test.py <dir holding the built sweep, scale_federation
-                               and hc3i_sim>
+    python3 tests/cli_test.py <dir holding the built examples and benches>
 """
 
 import os
@@ -62,12 +61,56 @@ class MalformedFlags(unittest.TestCase):
     def test_sweep_list_for_scalar_flag_exits_2(self):
         proc = run("sweep", "--nodes=4,8")
         self.assertEqual(proc.returncode, 2, proc.stderr)
-        self.assertIn("flag --nodes is not a number: 4,8", proc.stderr)
+        self.assertIn("flag --nodes is not a whole number: 4,8", proc.stderr)
 
     def test_scale_federation_non_number_exits_2(self):
         proc = run("scale_federation", "--clusters=x")
         self.assertEqual(proc.returncode, 2, proc.stderr)
-        self.assertIn("flag --clusters is not a number: x", proc.stderr)
+        self.assertIn("flag --clusters is not a whole number: x", proc.stderr)
+
+    def test_sweep_fractional_count_exits_2(self):
+        proc = run("sweep", "--nodes=4.7", "--clusters=2", "--minutes=1",
+                   "--seeds=1")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("flag --nodes is not a whole number: 4.7", proc.stderr)
+        self.assertEqual(proc.stdout, "")
+
+    def test_counts_below_one_exit_2(self):
+        cases = [("sweep", "--nodes=0"), ("sweep", "--minutes=-5"),
+                 ("scale_federation", "--clusters=-1"),
+                 ("scale_federation", "--nodes=0"),
+                 ("scale_federation", "--minutes=0"),
+                 ("bench_fig8_timer1_sweep", "--seeds=0"),
+                 ("bench_table1_messages", "--seeds=-2")]
+        for binary, flag in cases:
+            with self.subTest(binary=binary, flag=flag):
+                proc = run(binary, flag)
+                self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+                name = flag[2:flag.index("=")]
+                self.assertIn(f"flag --{name} wants a count from 1 to ",
+                              proc.stderr)
+                self.assertNotIn("nan", proc.stdout)
+
+    def test_huge_counts_exit_2(self):
+        proc = run("bench_table1_messages", "--seeds=99999999999999999999")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("is not a whole number", proc.stderr)
+        # Minutes beyond a simulated year would overflow SimTime.
+        for binary in ("sweep", "scale_federation"):
+            with self.subTest(binary=binary):
+                proc = run(binary, "--minutes=525601")
+                self.assertEqual(proc.returncode, 2,
+                                 proc.stdout + proc.stderr)
+                self.assertIn("flag --minutes wants a count from 1 to "
+                              "525600, got 525601", proc.stderr)
+
+    def test_other_mains_report_flag_errors_as_usage_errors(self):
+        for binary, flag in [("quickstart", "--seed=x"),
+                             ("bench_table1_messages", "--seeds=x")]:
+            with self.subTest(binary=binary):
+                proc = run(binary, flag)
+                self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+                self.assertIn("is not a whole number: x", proc.stderr)
 
 
 if __name__ == "__main__":

@@ -494,5 +494,23 @@ TEST(ObsEndToEnd, MetricsSamplesAreMonotone) {
   }
 }
 
+TEST(ObsEndToEnd, MetricsClcColumnsSumThePerClusterCounters) {
+  // The agents count CLCs per cluster (clc.total.c<i>); the TSV's CLC
+  // columns are the federation totals as of each sample.
+  const auto result = driver::run_simulation(obs_opts());
+  ASSERT_NE(result.obs, nullptr);
+  ASSERT_FALSE(result.obs->samples.empty());
+  std::uint64_t total = 0, forced = 0;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    total += result.clc_total(ClusterId{c});
+    forced += result.clc_forced(ClusterId{c});
+  }
+  const obs::MetricsSample& last = result.obs->samples.back();
+  EXPECT_GT(last.clc_total, 0u);
+  EXPECT_LE(last.clc_total, total);
+  EXPECT_GE(last.clc_total, last.clc_forced);
+  EXPECT_LE(last.clc_forced, forced);
+}
+
 }  // namespace
 }  // namespace hc3i::testing

@@ -1,4 +1,4 @@
-// Scale-out regime tests: the sparse pair census (vs a dense reference,
+// Scale-out regime tests: the pair census (vs a dense reference,
 // including node up/down churn), pooled control payloads (recycling without
 // aliasing), the compressed GC metadata codec (round trip), the dedup-set
 // copy-on-write capture, and a 10-cluster end-to-end smoke run.
@@ -14,7 +14,6 @@
 #include "driver/run.hpp"
 #include "hc3i/control.hpp"
 #include "net/network.hpp"
-#include "net/pair_census.hpp"
 #include "proto/dedup_set.hpp"
 #include "proto/gc_wire.hpp"
 #include "proto/payload_pool.hpp"
@@ -26,55 +25,64 @@ namespace hc3i {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Sparse pair census
+// Pair census
 // ---------------------------------------------------------------------------
 
-TEST(PairCensus, CountsMatchDenseReference) {
-  net::PairCensus census;
+std::string pair_counter(std::uint32_t src, std::uint32_t dst) {
+  return "net.app.pair." + std::to_string(src) + "." + std::to_string(dst);
+}
+
+TEST(NetworkCensus, CountsMatchDenseReference) {
+  // 37 clusters (deliberately not a power of two) x 2 nodes; random
+  // application sends, tallied independently per (src, dst) cluster pair.
+  constexpr std::uint32_t kClusters = 37;
+  sim::Simulation sim(42);
   stats::Registry reg;
-  // Dense reference: a plain map keyed the obvious way.
+  const net::Topology topo(config::small_test_spec(kClusters, 2).topology);
+  net::Network net(sim, topo, reg);
+  for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
+    net.attach(NodeId{i}, [](const net::Envelope&) {});
+  }
+  // Control traffic goes through the same send path but is not census'd.
+  net::Envelope ctl;
+  ctl.src = NodeId{0};
+  ctl.dst = NodeId{3};
+  ctl.cls = net::MsgClass::kControl;
+  net.send(std::move(ctl));
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> dense;
   RngStream rng(42, 1);
-  constexpr std::uint32_t kClusters = 37;  // deliberately not a power of two
+  const auto nodes = static_cast<std::uint32_t>(topo.node_count());
   for (int i = 0; i < 20000; ++i) {
-    const ClusterId src{static_cast<std::uint32_t>(rng.next_below(kClusters))};
-    const ClusterId dst{static_cast<std::uint32_t>(rng.next_below(kClusters))};
-    stats::Counter*& cell = census.slot(src, dst);
-    if (!cell) {
-      cell = &reg.counter("pair." + std::to_string(src.v) + "." +
-                          std::to_string(dst.v));
-    }
-    cell->inc();
-    ++dense[{src.v, dst.v}];
+    net::Envelope env;
+    env.src = NodeId{static_cast<std::uint32_t>(rng.next_below(nodes))};
+    do {
+      env.dst = NodeId{static_cast<std::uint32_t>(rng.next_below(nodes))};
+    } while (env.dst == env.src);
+    env.cls = net::MsgClass::kApp;
+    env.payload_bytes = 64;
+    env.app_seq = static_cast<std::uint64_t>(i) + 1;
+    ++dense[{topo.cluster_of(env.src).v, topo.cluster_of(env.dst).v}];
+    net.send(std::move(env));
   }
-  ASSERT_EQ(census.active_pairs(), dense.size());
-  for (const auto& [pair, count] : dense) {
-    EXPECT_EQ(reg.get("pair." + std::to_string(pair.first) + "." +
-                      std::to_string(pair.second)),
-              count);
+  sim.run_all();
+  EXPECT_EQ(net.census_active_pairs(), dense.size());
+  std::size_t pair_names = 0;
+  for (const std::string& name : reg.counter_names()) {
+    if (name.rfind("net.app.pair.", 0) == 0) ++pair_names;
+  }
+  // Only touched pairs have a counter, so the dump lists exactly them.
+  EXPECT_EQ(pair_names, dense.size());
+  for (std::uint32_t src = 0; src < kClusters; ++src) {
+    for (std::uint32_t dst = 0; dst < kClusters; ++dst) {
+      const auto it = dense.find({src, dst});
+      EXPECT_EQ(reg.get(pair_counter(src, dst)),
+                it == dense.end() ? 0u : it->second)
+          << "pair " << src << "->" << dst;
+    }
   }
 }
 
-TEST(PairCensus, FootprintScalesWithActivePairsNotClusters) {
-  // A 1000-cluster federation where only a ring of pairs carries traffic:
-  // the table must size by the ~2000 touched pairs, not by 1000² cells.
-  net::PairCensus census;
-  stats::Registry reg;
-  constexpr std::uint32_t kClusters = 1000;
-  for (std::uint32_t c = 0; c < kClusters; ++c) {
-    for (const std::uint32_t d : {c, (c + 1) % kClusters}) {
-      stats::Counter*& cell = census.slot(ClusterId{c}, ClusterId{d});
-      if (!cell) cell = &reg.counter("p");
-      cell->inc();
-    }
-  }
-  EXPECT_EQ(census.active_pairs(), 2u * kClusters);
-  // Open addressing at a 0.7 load bound: capacity stays within a small
-  // constant of the active-pair count — nowhere near clusters².
-  EXPECT_LE(census.bucket_count(), 8u * kClusters);
-}
-
-TEST(SparseCensus, NodeChurnMatchesDenseReference) {
+TEST(NetworkCensus, NodeChurnMatchesDenseReference) {
   // Drive the real Network across up/down churn (parked deliveries) and
   // check the per-pair registry counters against an independently kept
   // dense tally — churn must not double- or under-count the census.
@@ -119,9 +127,7 @@ TEST(SparseCensus, NodeChurnMatchesDenseReference) {
   for (std::uint32_t s = 0; s < 4; ++s) {
     for (std::uint32_t d = 0; d < 4; ++d) {
       const std::uint64_t expect = dense[s][d];
-      EXPECT_EQ(reg.get("net.app.pair." + std::to_string(s) + "." +
-                        std::to_string(d)),
-                expect)
+      EXPECT_EQ(reg.get(pair_counter(s, d)), expect)
           << "pair " << s << "->" << d;
       if (expect > 0) ++active;
     }

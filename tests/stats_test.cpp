@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "stats/accumulators.hpp"
 #include "stats/registry.hpp"
 #include "stats/table.hpp"
@@ -84,36 +86,36 @@ TEST(Histogram, RejectsBadConstruction) {
 TEST(Registry, CountersStartAtZero) {
   Registry r;
   EXPECT_EQ(r.get("nope"), 0u);
-  r.inc("a");
-  r.inc("a", 4);
+  r.counter("a").inc();
+  r.counter("a").inc(4);
   EXPECT_EQ(r.get("a"), 5u);
 }
 
 TEST(Registry, SetAndRaise) {
   Registry r;
   r.set("gauge", 10);
-  r.raise("gauge", 5);
+  r.counter("gauge").raise(5);
   EXPECT_EQ(r.get("gauge"), 10u);
-  r.raise("gauge", 15);
+  r.counter("gauge").raise(15);
   EXPECT_EQ(r.get("gauge"), 15u);
 }
 
 TEST(Registry, Summaries) {
   Registry r;
-  r.observe("lat", 1.0);
-  r.observe("lat", 3.0);
+  r.summary_handle("lat").add(1.0);
+  r.summary_handle("lat").add(3.0);
   EXPECT_EQ(r.summary("lat").count(), 2u);
   EXPECT_DOUBLE_EQ(r.summary("lat").mean(), 2.0);
   EXPECT_EQ(r.summary("absent").count(), 0u);
 }
 
-TEST(Registry, HandleAndNameApisShareStorage) {
+TEST(Registry, HandleAndNameReadsShareStorage) {
   Registry r;
   Counter& c = r.counter("hits");
   c.inc();
   c.inc(4);
-  EXPECT_EQ(r.get("hits"), 5u);       // name shim reads handle-backed storage
-  r.inc("hits", 2);                   // and writes land where the handle reads
+  EXPECT_EQ(r.get("hits"), 5u);  // name reads see handle-backed storage
+  r.set("hits", 7);              // and name writes land where the handle reads
   EXPECT_EQ(c.value(), 7u);
   EXPECT_EQ(&r.counter("hits"), &c);  // re-resolution returns the same slot
   c.raise(3);
@@ -125,7 +127,7 @@ TEST(Registry, HandleAndNameApisShareStorage) {
 
   Summary& s = r.summary_handle("lat");
   s.add(1.0);
-  r.observe("lat", 3.0);
+  r.summary_handle("lat").add(3.0);
   EXPECT_EQ(r.summary("lat").count(), 2u);
   EXPECT_DOUBLE_EQ(s.mean(), 2.0);
 }
@@ -134,7 +136,7 @@ TEST(Registry, HandlesStayValidAsRegistryGrows) {
   Registry r;
   Counter& first = r.counter("first");
   first.inc();
-  // Force enough interning to grow every internal structure several times.
+  // Thousands of insertions: earlier handles must not move.
   for (int i = 0; i < 3000; ++i) {
     r.counter("filler." + std::to_string(i)).inc();
   }
@@ -151,8 +153,8 @@ TEST(Registry, ConstSummaryLookupTracksLaterObservations) {
   const Registry& cr = r;
   const Summary& s = cr.summary("lat");
   EXPECT_EQ(s.count(), 0u);
-  r.observe("lat", 4.0);
-  r.observe("lat", 6.0);
+  r.summary_handle("lat").add(4.0);
+  r.summary_handle("lat").add(6.0);
   EXPECT_EQ(s.count(), 2u);  // the earlier reference sees the live slot
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   // And the const read must not have invented a counter.
@@ -162,10 +164,10 @@ TEST(Registry, ConstSummaryLookupTracksLaterObservations) {
 TEST(Registry, CopyIsDeepAndIndependent) {
   Registry r;
   r.counter("a").inc(3);
-  r.observe("lat", 1.0);
+  r.summary_handle("lat").add(1.0);
   Registry copy = r;
   copy.counter("a").inc();
-  copy.observe("lat", 9.0);
+  copy.summary_handle("lat").add(9.0);
   EXPECT_EQ(r.get("a"), 3u);
   EXPECT_EQ(copy.get("a"), 4u);
   EXPECT_EQ(r.summary("lat").count(), 1u);
@@ -174,10 +176,36 @@ TEST(Registry, CopyIsDeepAndIndependent) {
   EXPECT_EQ(r.get("a"), 4u);
 }
 
+TEST(Registry, HandlesFollowAMoveIntoAnotherObject) {
+  // A run's agents cache handles into the registry, which is then moved
+  // into the run's result: writes through those handles must land in the
+  // destination.
+  struct Holder {
+    Registry reg;
+  };
+  Registry r;
+  Counter& c = r.counter("hits");
+  Summary& s = r.summary_handle("lat");
+  c.inc(2);
+  Holder h{std::move(r)};
+  c.inc(3);
+  s.add(4.0);
+  EXPECT_EQ(h.reg.get("hits"), 5u);
+  EXPECT_EQ(h.reg.summary("lat").count(), 1u);
+  EXPECT_EQ(&h.reg.counter("hits"), &c);
+
+  Holder assigned;
+  assigned.reg.counter("old").inc();
+  assigned.reg = std::move(h.reg);
+  c.inc();
+  EXPECT_EQ(assigned.reg.get("hits"), 6u);
+  EXPECT_EQ(assigned.reg.get("old"), 0u);
+}
+
 TEST(Registry, NamesSortedAndDump) {
   Registry r;
-  r.inc("zulu");
-  r.inc("alpha");
+  r.counter("zulu").inc();
+  r.counter("alpha").inc();
   const auto names = r.counter_names();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");

@@ -301,6 +301,31 @@ TEST(Flags, BadNumberThrows) {
   EXPECT_THROW(Flags::parse(2, bare), FlagError);
 }
 
+TEST(Flags, IntsAreWholeNumbersAndCountsAtLeastOne) {
+  const char* argv[] = {"prog",
+                        "--frac=4.7",
+                        "--exp=1e3",
+                        "--neg=-3",
+                        "--zero=0",
+                        "--huge=99999999999999999999",
+                        "--wide=4294967296",
+                        "--ok=12"};
+  const Flags f = Flags::parse(8, argv);
+  EXPECT_THROW(f.get_int("frac", 0), FlagError);
+  EXPECT_THROW(f.get_int("exp", 0), FlagError);
+  EXPECT_THROW(f.get_int("huge", 0), FlagError);
+  EXPECT_EQ(f.get_int("neg", 0), -3);
+  EXPECT_EQ(f.get_int("zero", 1), 0);
+  EXPECT_THROW(f.get_count("neg", 1), FlagError);
+  EXPECT_THROW(f.get_count("zero", 1), FlagError);
+  EXPECT_THROW(f.get_count("wide", 1), FlagError);
+  EXPECT_THROW(f.get_count("frac", 1), FlagError);
+  EXPECT_EQ(f.get_count("ok", 1), 12u);
+  EXPECT_EQ(f.get_count("ok", 1, 12), 12u);
+  EXPECT_THROW(f.get_count("ok", 1, 11), FlagError);
+  EXPECT_EQ(f.get_count("absent", 3), 3u);
+}
+
 TEST(Flags, SplitListDropsEmptyTokens) {
   EXPECT_EQ(split_list("2,4,,6,"), (std::vector<std::string>{"2", "4", "6"}));
   EXPECT_EQ(split_list("one"), (std::vector<std::string>{"one"}));
