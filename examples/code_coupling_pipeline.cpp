@@ -19,7 +19,7 @@ using namespace hc3i;
 
 namespace {
 
-config::RunSpec pipeline_spec(std::int64_t run_hours, std::int64_t clc_min) {
+config::RunSpec pipeline_spec(std::uint32_t run_hours, std::uint32_t clc_min) {
   config::RunSpec spec;
   // Three 32-node clusters: simulation, treatment, display.
   config::LinkSpec san{microseconds(10), 80e6 / 8};
@@ -48,8 +48,10 @@ config::RunSpec pipeline_spec(std::int64_t run_hours, std::int64_t clc_min) {
 
 int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
+  // At most a simulated year each, far from SimTime's nanosecond range.
   const config::RunSpec spec =
-      pipeline_spec(flags.get_int("hours", 10), flags.get_int("clc-min", 30));
+      pipeline_spec(flags.get_count("hours", 10, 8'760),
+                    flags.get_count("clc-min", 30, 525'600));
 
   if (flags.get_bool("dump", false)) {
     std::printf("# --- topology file ---\n%s\n# --- application file ---\n%s\n"

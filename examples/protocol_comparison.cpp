@@ -9,7 +9,6 @@
 
 #include "config/presets.hpp"
 #include "driver/run.hpp"
-#include "util/check.hpp"
 #include "util/flags.hpp"
 
 using namespace hc3i;
@@ -18,14 +17,16 @@ int main(int argc, char** argv) try {
   const Flags flags = Flags::parse(argc, argv);
   driver::RunOptions opts;
   opts.spec = config::small_test_spec(2, 10);
-  opts.spec.application.total_time = hours(flags.get_int("hours", 2));
-  opts.spec.topology.mtbf = minutes(flags.get_int("mtbf-min", 40));
+  // At most a simulated year each, far from SimTime's nanosecond range.
+  opts.spec.application.total_time = hours(flags.get_count("hours", 2, 8'760));
+  opts.spec.topology.mtbf = minutes(flags.get_count("mtbf-min", 40, 525'600));
   for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(20);
   const std::string protocol = flags.get("protocol", "hc3i");
   const auto kind = driver::parse_protocol(protocol);
-  HC3I_CHECK(kind.has_value(),
-             "unknown --protocol: " + protocol +
-                 " (hc3i|independent|global|hier|pessimistic)");
+  if (!kind) {
+    throw FlagError("unknown --protocol: " + protocol +
+                    " (hc3i|independent|global|hier|pessimistic)");
+  }
   opts.protocol = *kind;
   opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   opts.auto_failures = true;

@@ -1,6 +1,6 @@
 #include "baselines/global.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "proto/payload_pool.hpp"
 
@@ -47,8 +47,6 @@ const std::vector<net::Envelope>& GlobalRuntime::channel(SeqNum sn) const {
   return it == channels_.end() ? kEmpty : it->second;
 }
 
-proto::AgentFactory global_factory(GlobalRuntime& rt) { return rt.factory(); }
-
 // ---------------------------------------------------------------------------
 // GlobalAgent
 // ---------------------------------------------------------------------------
@@ -56,25 +54,10 @@ proto::AgentFactory global_factory(GlobalRuntime& rt) { return rt.factory(); }
 GlobalAgent::GlobalAgent(const proto::AgentContext& ctx, GlobalRuntime& rt)
     : AgentBase(ctx), rt_(rt) {}
 
-std::uint32_t GlobalAgent::local_index(NodeId n) const {
-  return n.v - ctx_.topology->first_node(ctx_.topology->cluster_of(n)).v;
-}
-
 proto::NodePart GlobalAgent::make_part() const {
   proto::NodePart part;
   part.app = ctx_.app->snapshot();
   return part;
-}
-
-SimTime GlobalAgent::restore_delay() const {
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  return delay;
 }
 
 void GlobalAgent::start() {
@@ -89,7 +72,7 @@ void GlobalAgent::start() {
 }
 
 void GlobalAgent::begin_round() {
-  if (coord_ || rollback_pending_) return;
+  if (coord_ || rollback_pending()) return;
   coord_.emplace(next_round_++, now());
   parts_.assign(ctx_.topology->node_count(), std::nullopt);
   auto req = proto::make_pooled<GReq>();
@@ -111,7 +94,7 @@ void GlobalAgent::begin_round() {
 }
 
 void GlobalAgent::handle_req(const GReq& m) {
-  if (m.inc != inc_ || rollback_pending_) return;
+  if (m.inc != inc_ || rollback_pending()) return;
   if (rt_.hierarchical() && is_cluster_coordinator() &&
       (!relay_ || relay_->id != m.round)) {
     // Relay into the cluster, then take our own tentative checkpoint.
@@ -236,7 +219,7 @@ void GlobalAgent::commit_round() {
 }
 
 void GlobalAgent::handle_commit(const GCommit& m) {
-  if (m.inc != inc_ || rollback_pending_) return;
+  if (m.inc != inc_ || rollback_pending()) return;
   if (rt_.hierarchical() && is_cluster_coordinator() && relay_ &&
       m.round == relay_->id) {
     // Relay the commit into the cluster once.
@@ -263,7 +246,7 @@ void GlobalAgent::handle_commit(const GCommit& m) {
 
 void GlobalAgent::app_send(NodeId dst, std::uint64_t bytes,
                            std::uint64_t app_seq) {
-  if (rollback_pending_) return;
+  if (rollback_pending()) return;
   if (member_) {
     queued_sends_.push_back(QueuedSend{dst, bytes, app_seq});
     return;
@@ -282,10 +265,7 @@ void GlobalAgent::on_message(const net::Envelope& env) {
       named_stat(stat_stale_dropped_, "cic.stale_dropped").inc();
       return;
     }
-    if (rollback_pending_) {
-      post_rollback_stash_.push_back(env);
-      return;
-    }
+    if (stash_if_frozen(env)) return;
     if (member_) {
       deferred_.push_back(env);
       return;
@@ -323,11 +303,7 @@ void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
     const proto::ClcRecord& rec = rt_.store(cid).last();
     HC3I_CHECK(rec.sn == target_sn, "global stores out of sync");
     ctx_.ledger->undo_after(cid, rec.ledger_mark);
-    named_stat(stat_rollback_count_, "rollback.count").inc();
-    named_stat(stat_rollback_nodes_, "rollback.nodes")
-        .inc(ctx_.topology->cluster_size(cid));
-    named_summary(stat_rollback_depth_, "rollback.depth_clcs")
-        .add(static_cast<double>(sn_ - rec.sn));
+    count_cluster_rollback(cid, sn_ - rec.sn);
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
     for (std::uint32_t i = 0; i < ctx_.topology->cluster_size(cid); ++i) {
       rt_.agents()[base + i]->apply_rollback(rec, new_inc);
@@ -341,8 +317,9 @@ void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
   // Resume all clusters after the slowest state transfer; re-inject the
   // global channel afterwards.
   SimTime delay = SimTime::zero();
-  for (const GlobalAgent* a : rt_.agents()) {
-    delay = std::max(delay, a->restore_delay());
+  for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
+    delay = std::max(delay, rt_.spec().state_transfer_time(
+                                ClusterId{static_cast<std::uint32_t>(c)}));
   }
   ctx_.sim->schedule_after(delay, [this, new_inc, target_sn] {
     if (inc_ != new_inc) return;
@@ -362,34 +339,23 @@ void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
 
 void GlobalAgent::apply_rollback(const proto::ClcRecord& rec,
                                  Incarnation new_inc) {
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost =
-      current.virtual_work - rec.parts[local_index(self())].app.virtual_work;
-  if (lost.ns > 0) {
-    named_summary(stat_lost_work_, "rollback.lost_work_s")
-        .add(lost.seconds());
-  }
+  account_lost_work(rec.parts[local_index(self())].app);
   sn_ = rec.sn;
   inc_ = new_inc;
   queued_sends_.clear();
   deferred_.clear();
-  post_rollback_stash_.clear();
   // The rollback aborts every open round this node plays a role in.
   member_.reset();
   coord_.reset();
   relay_.reset();
   if (timer_) timer_->cancel();
-  rollback_pending_ = true;
-  ctx_.app->freeze();
+  freeze_app();
 }
 
 void GlobalAgent::resume(const proto::ClcRecord& rec) {
-  rollback_pending_ = false;
-  ctx_.app->restore(rec.parts[local_index(self())].app);
+  thaw_app(rec.parts[local_index(self())].app);
   if (is_global_coordinator() && timer_) timer_->reset();
-  auto stash = std::move(post_rollback_stash_);
-  post_rollback_stash_.clear();
-  for (const net::Envelope& env : stash) on_message(env);
+  replay_stash();
 }
 
 }  // namespace hc3i::baselines

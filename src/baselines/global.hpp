@@ -84,11 +84,7 @@ class GlobalAgent final : public proto::AgentBase {
   // AgentBase::named_stat).  The per-cluster pair is (clc.total, clc.unforced).
   stats::Counter* stat_stale_dropped_{nullptr};
   stats::Counter* stat_rollback_faults_{nullptr};
-  stats::Counter* stat_rollback_count_{nullptr};
-  stats::Counter* stat_rollback_nodes_{nullptr};
   stats::Summary* stat_freeze_{nullptr};
-  stats::Summary* stat_rollback_depth_{nullptr};
-  stats::Summary* stat_lost_work_{nullptr};
   std::vector<std::pair<stats::Counter*, stats::Counter*>> stat_clc_by_cluster_;
 
   struct GReq final : net::ControlPayload {
@@ -133,9 +129,7 @@ class GlobalAgent final : public proto::AgentBase {
   void global_rollback(bool fault_origin, ClusterId fault_cluster);
   void apply_rollback(const proto::ClcRecord& rec, Incarnation new_inc);
   void resume(const proto::ClcRecord& rec);
-  SimTime restore_delay() const;
   proto::NodePart make_part() const;
-  std::uint32_t local_index(NodeId n) const;
 
   GlobalRuntime& rt_;
   SeqNum sn_{0};
@@ -154,10 +148,8 @@ class GlobalAgent final : public proto::AgentBase {
   };
   std::vector<QueuedSend> queued_sends_;
   std::vector<net::Envelope> deferred_;
-  bool rollback_pending_{false};
   bool pending_fault_recovery_{false};
   ClusterId pending_fault_cluster_{};
-  std::vector<net::Envelope> post_rollback_stash_;
 
   // Global-coordinator round state (node 0 only).  The parts vectors stay
   // outside the round structs so their capacity is reused.
@@ -179,8 +171,5 @@ class GlobalAgent final : public proto::AgentBase {
   std::optional<RelayRound> relay_;
   std::vector<std::optional<proto::NodePart>> cluster_parts_;
 };
-
-/// Build a factory; the runtime must outlive the federation.
-proto::AgentFactory global_factory(GlobalRuntime& rt);
 
 }  // namespace hc3i::baselines

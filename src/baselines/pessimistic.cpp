@@ -1,7 +1,5 @@
 #include "baselines/pessimistic.hpp"
 
-#include <cmath>
-
 #include "proto/payload_pool.hpp"
 
 namespace hc3i::baselines {
@@ -17,10 +15,6 @@ proto::AgentFactory PessimisticRuntime::factory() {
     agents_.push_back(agent.get());
     return agent;
   };
-}
-
-proto::AgentFactory pessimistic_factory(PessimisticRuntime& rt) {
-  return rt.factory();
 }
 
 PessimisticAgent::PessimisticAgent(const proto::AgentContext& ctx,
@@ -57,7 +51,7 @@ void PessimisticAgent::take_checkpoint() {
 
 void PessimisticAgent::app_send(NodeId dst, std::uint64_t bytes,
                                 std::uint64_t app_seq) {
-  if (rollback_pending_) return;
+  if (rollback_pending()) return;
   net::Piggyback piggy;  // no checkpointing metadata needed
   send_app(dst, bytes, app_seq, piggy);
 }
@@ -67,10 +61,7 @@ void PessimisticAgent::on_message(const net::Envelope& env) {
     // Channel-memory copies are sinks: modelled storage traffic only.
     return;
   }
-  if (rollback_pending_) {
-    post_rollback_stash_.push_back(env);
-    return;
-  }
+  if (stash_if_frozen(env)) return;
   if (dedup_.count(env.app_seq) > 0) {
     // Duplicate from a re-executed sender (PWD re-sends); drop.
     named_stat(stat_dup_dropped_, "pess.dup_dropped").inc();
@@ -100,31 +91,18 @@ void PessimisticAgent::on_failure_detected(NodeId failed) {
 }
 
 void PessimisticAgent::restore_failed_node() {
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost = current.virtual_work - checkpoint_.virtual_work;
-  if (lost.ns > 0) {
-    ctx_.registry->summary_handle("rollback.lost_work_s").add(lost.seconds());
-  }
+  account_lost_work(checkpoint_);
   ctx_.ledger->undo_after_node(self(), checkpoint_mark_);
   // Deliveries since the checkpoint are undone and must be replayed from
   // the channel memory; forget them in the dedup set so the replay is not
   // suppressed (the log itself is the replay source).
   for (const net::Envelope& env : receive_log_) dedup_.erase(env.app_seq);
-  rollback_pending_ = true;
-  ctx_.app->freeze();
+  freeze_app();
   // Node-scope only: no cluster rolls back.
   ctx_.registry->summary_handle("rollback.clusters_rolled").add(0.0);
 
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  ctx_.sim->schedule_after(delay, [this] {
-    rollback_pending_ = false;
-    ctx_.app->restore(checkpoint_);
+  ctx_.sim->schedule_after(rt_.spec().state_transfer_time(cluster()), [this] {
+    thaw_app(checkpoint_);
     // Replay the logged deliveries in their original order (PWD).
     auto log = std::move(receive_log_);
     receive_log_.clear();
@@ -134,9 +112,7 @@ void PessimisticAgent::restore_failed_node() {
       deliver_app(env);
       named_stat(stat_replayed_, "pess.replayed").inc();
     }
-    auto stash = std::move(post_rollback_stash_);
-    post_rollback_stash_.clear();
-    for (const net::Envelope& env : stash) on_message(env);
+    replay_stash();
     ctx_.recovery_done(cluster());
   });
 }

@@ -15,6 +15,7 @@
 //  * TimersSpec      — protocol timer delays per cluster (delay between two
 //                      unforced CLCs, garbage-collection period, ...).
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +31,18 @@ struct LinkSpec {
   SimTime latency{microseconds(10)};
   /// Serialisation rate in bytes per second (may be +inf for ideal links).
   double bytes_per_sec{10e6};
+
+  /// Time to move `bytes` across this link: latency plus serialisation.
+  /// The one transfer-time rule: message delivery and state restore both
+  /// use it, so every protocol pays the same for the same bytes.  Inline:
+  /// Network::send calls it once per message.
+  SimTime transfer_time(std::uint64_t bytes) const {
+    SimTime t = latency;
+    if (std::isfinite(bytes_per_sec)) {
+      t += from_seconds_f(static_cast<double>(bytes) / bytes_per_sec);
+    }
+    return t;
+  }
 };
 
 /// Checkpoint-storage cost model of one cluster.  kNone (the default) keeps
@@ -144,6 +157,12 @@ struct RunSpec {
 
   /// Validate all three parts together.
   void validate() const;
+
+  /// Time to restore one process of cluster `c`: its state pulled from the
+  /// neighbour's replica across the cluster SAN (paper §3.1 stable storage).
+  SimTime state_transfer_time(ClusterId c) const {
+    return topology.clusters[c.v].san.transfer_time(application.state_bytes);
+  }
 };
 
 }  // namespace hc3i::config

@@ -1,7 +1,6 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -190,14 +189,7 @@ void check_queue_bounds(const Campaign& plan, const config::RunSpec& spec,
   // Estimated recovery service time per cluster: failure detection plus the
   // state transfer that restores the victim from its neighbour's replica.
   const auto recovery_estimate = [&](std::uint32_t c) {
-    const auto& san = topo.clusters[c].san;
-    SimTime r = spec.timers.detection_delay + san.latency;
-    if (std::isfinite(san.bytes_per_sec)) {
-      r = r + from_seconds_f(
-                  static_cast<double>(spec.application.state_bytes) /
-                  san.bytes_per_sec);
-    }
-    return r;
+    return spec.timers.detection_delay + spec.state_transfer_time(ClusterId{c});
   };
   const auto cluster_of = [&](NodeId n) {
     std::uint32_t c = 0, base = 0;

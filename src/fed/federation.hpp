@@ -85,16 +85,12 @@ class Federation {
   /// target). Throws if the whole cluster is down.
   NodeId coordinator(ClusterId c) const;
 
-  /// Failures injected so far.
-  std::uint32_t failures_injected() const { return failures_; }
   /// True while cluster `c`'s own fault recovery is pending.
   bool recovery_pending(ClusterId c) const {
     return recovery_pending_[c.v] != 0;
   }
 
  private:
-  SimTime state_restore_delay(ClusterId c) const;
-
   sim::Simulation& sim_;
   config::RunSpec spec_;
   stats::Registry& registry_;
@@ -104,7 +100,6 @@ class Federation {
   std::vector<std::unique_ptr<proto::ProtocolAgent>> agents_;
   obs::EventStream events_;
   std::vector<std::uint8_t> recovery_pending_;  ///< per cluster, 0/1
-  std::uint32_t failures_{0};
 };
 
 }  // namespace hc3i::fed

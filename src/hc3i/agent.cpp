@@ -1,7 +1,6 @@
 #include "hc3i/agent.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/trace.hpp"
 #include "proto/payload_pool.hpp"
@@ -35,10 +34,6 @@ stats::Counter& Hc3iAgent::stat(stats::Counter*& slot, const char* name) {
                              [this, name] { return cstat(name); });
 }
 
-std::uint32_t Hc3iAgent::local_index(NodeId n) const {
-  return n.v - ctx_.topology->first_node(ctx_.topology->cluster_of(n)).v;
-}
-
 std::uint32_t Hc3iAgent::replicas_needed() const {
   return store().replication();
 }
@@ -64,17 +59,6 @@ proto::NodePart Hc3iAgent::make_part() {
   part.dedup = dedup_.capture();
   part.log = log_.capture();
   return part;
-}
-
-SimTime Hc3iAgent::state_restore_delay() const {
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  return delay;
 }
 
 void Hc3iAgent::sync_log_totals() {
@@ -150,7 +134,7 @@ void Hc3iAgent::start() {
 
 void Hc3iAgent::app_send(NodeId dst, std::uint64_t bytes,
                          std::uint64_t app_seq) {
-  if (rollback_pending_) return;  // frozen application cannot send
+  if (rollback_pending()) return;  // frozen application cannot send
   if (in_round()) {
     // "Between the request and the commit messages, application messages
     // are queued" (paper §3.1).
@@ -202,12 +186,9 @@ void Hc3iAgent::on_app_message(const net::Envelope& env) {
     named_stat(stat_stale_dropped_, "cic.stale_dropped").inc();
     return;
   }
-  if (rollback_pending_) {
-    // The application is frozen between the protocol rollback and the
-    // state-transfer completion; hold arrivals until resume.
-    post_rollback_stash_.push_back(env);
-    return;
-  }
+  // The application is frozen between the protocol rollback and the
+  // state-transfer completion; hold arrivals until resume.
+  if (stash_if_frozen(env)) return;
   if (in_round()) {
     // Queued until commit (both directions are frozen during the 2PC).
     deferred_.push_back(env);
@@ -343,7 +324,7 @@ void Hc3iAgent::handle_clc_demand(const ClcDemand& m) {
 
 void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
   HC3I_CHECK(is_cluster_coordinator(), "begin_round on non-coordinator");
-  if (coord_ || rollback_pending_) return;  // one round at a time
+  if (coord_ || rollback_pending()) return;  // one round at a time
   const std::uint64_t id = next_round_++;
   coord_.emplace(id, reason, 0u, ddv_);
   parts_.assign(ctx_.topology->cluster_size(cluster()), std::nullopt);
@@ -358,7 +339,7 @@ void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
 }
 
 void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
-  if (m.inc != inc_ || rollback_pending_) return;
+  if (m.inc != inc_ || rollback_pending()) return;
   if (member_) {
     // Overtaken commit (see pending_request_): hold the newer round's
     // request; a re-broadcast of the current round stays a no-op.
@@ -532,7 +513,7 @@ void Hc3iAgent::coordinator_commit_round() {
 }
 
 void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
-  if (m.inc != inc_ || rollback_pending_) return;
+  if (m.inc != inc_ || rollback_pending()) return;
   if (!member_ || m.round != member_->id) return;  // aborted round
   sn_ = m.sn;
   ddv_ = m.ddv;
@@ -598,14 +579,10 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg,
   const ClusterId c = cluster();
   const bool fault_origin = failed_idx.has_value();
   const Incarnation new_inc = rt_.bump_incarnation(c);
-  named_stat(stat_rollback_global_, "rollback.count").inc();
-  stat(stat_rollback_count_, "rollback.count").inc();
   // Node-level blast radius: the whole cluster restores (recovery telemetry
-  // diffs this per incident).
-  named_stat(stat_rollback_nodes_, "rollback.nodes")
-      .inc(ctx_.topology->cluster_size(c));
-  named_summary(stat_rollback_depth_, "rollback.depth_clcs")
-      .add(static_cast<double>(sn_ - rec.sn));
+  // diffs rollback.nodes per incident).
+  count_cluster_rollback(c, sn_ - rec.sn);
+  stat(stat_rollback_count_, "rollback.count").inc();
   HC3I_OBS(events(), obs::RecordKind::kRollbackBegin, now(), c.v, self().v,
            new_inc, static_cast<std::uint64_t>(rec.sn), fault_origin ? 1 : 0);
 
@@ -639,7 +616,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg,
   store().truncate_after(rec.sn);
 
   // 5. Re-inject the channel state once every node has restored.
-  SimTime resume_delay = state_restore_delay();
+  SimTime resume_delay = rt_.spec().state_transfer_time(c);
   if (const storage::Backend* be = rt_.backend(c)) {
     // Storage-modelled recovery: every node re-reads its checkpoint chain
     // (its part of the restored CLC plus the deltas back to the nearest
@@ -695,12 +672,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg,
 void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
                                        Incarnation new_inc, bool lost_memory) {
   const std::uint32_t idx = local_index(self());
-  // Lost-work accounting: everything since the restored snapshot.
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost = current.virtual_work - rec.parts[idx].app.virtual_work;
-  if (lost.ns > 0) {
-    ctx_.registry->summary_handle("rollback.lost_work_s").add(lost.seconds());
-  }
+  account_lost_work(rec.parts[idx].app);
 
   sn_ = rec.sn;
   ddv_ = rec.ddv;
@@ -715,7 +687,6 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   wait_force_.clear();
   deferred_.clear();
   queued_sends_.clear();
-  post_rollback_stash_.clear();
   pending_request_.reset();  // pre-rollback round; its inc is stale anyway
   // The rollback aborts every open round: nothing of the undone epoch (a
   // tentative image, a merged DDV entry, a demand) can reach a later commit.
@@ -724,17 +695,13 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   parts_.clear();
   zero_entries(demanded_);
   if (clc_timer_) clc_timer_->cancel();
-  rollback_pending_ = true;
-  ctx_.app->freeze();
+  freeze_app();
 }
 
 void Hc3iAgent::resume_after_rollback(const proto::ClcRecord& rec) {
-  rollback_pending_ = false;
-  ctx_.app->restore(rec.parts[local_index(self())].app);
+  thaw_app(rec.parts[local_index(self())].app);
   if (is_cluster_coordinator() && clc_timer_) clc_timer_->reset();
-  auto stash = std::move(post_rollback_stash_);
-  post_rollback_stash_.clear();
-  for (const net::Envelope& env : stash) on_app_message(env);
+  replay_stash();
 }
 
 void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {

@@ -66,7 +66,6 @@ class Hc3iAgent : public proto::AgentBase {
   std::size_t log_size() const { return log_.size(); }
   const proto::MsgLog& msg_log() const { return log_; }
   std::size_t waiting_forced() const { return wait_force_.size(); }
-  bool rollback_pending() const { return rollback_pending_; }
 
   /// Why a CLC round was started (statistics bucket).
   enum class RoundReason { kInitial, kTimer, kForced };
@@ -138,7 +137,6 @@ class Hc3iAgent : public proto::AgentBase {
   /// `slot`: the name string is built once per agent, not once per bump, and
   /// the counter still only exists once actually touched.
   stats::Counter& stat(stats::Counter*& slot, const char* name);
-  std::uint32_t local_index(NodeId n) const;
   /// Capture this node's CLC part.  Non-const: with a storage backend the
   /// capture consumes the app's dirty-range watermark (delta chains).
   proto::NodePart make_part();
@@ -149,7 +147,6 @@ class Hc3iAgent : public proto::AgentBase {
   std::uint32_t replicas_needed() const;
   proto::ClcStore& store() { return rt_.store(cluster()); }
   const proto::ClcStore& store() const { return rt_.store(cluster()); }
-  SimTime state_restore_delay() const;
   /// Report this node's sender-log change since the last call to the
   /// runtime's per-cluster totals.  Called after every log_ mutation.
   void sync_log_totals();
@@ -195,9 +192,7 @@ class Hc3iAgent : public proto::AgentBase {
   /// are serialised, so at most one can be pending.
   std::optional<ClcRequest> pending_request_;
 
-  // Rollback bookkeeping.
-  bool rollback_pending_{false};            ///< protocol restored, app not yet
-  std::vector<net::Envelope> post_rollback_stash_;
+  // Rollback bookkeeping (the frozen-application window lives in AgentBase).
   struct RollbackInfo {
     Incarnation inc;
     SeqNum restored;
@@ -237,8 +232,6 @@ class Hc3iAgent : public proto::AgentBase {
   stats::Counter* stat_store_max_bytes_{nullptr};
   stats::Counter* stat_rollback_faults_{nullptr};
   stats::Counter* stat_rollback_count_{nullptr};
-  stats::Counter* stat_rollback_global_{nullptr};
-  stats::Counter* stat_rollback_nodes_{nullptr};
   stats::Counter* stat_rollback_cascade_{nullptr};
   stats::Counter* stat_gc_removed_{nullptr};
   stats::Counter* stat_gc_resp_saved_{nullptr};
@@ -255,7 +248,6 @@ class Hc3iAgent : public proto::AgentBase {
   stats::Counter* stat_g_ckpt_saved_{nullptr};
   stats::Counter* stat_g_ckpt_stall_{nullptr};
   stats::Counter* stat_g_recovery_read_{nullptr};
-  stats::Summary* stat_rollback_depth_{nullptr};
 
   // GC initiator state (coordinator of cluster 0 only).
   std::unique_ptr<sim::Timer> gc_timer_;

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 
@@ -116,12 +115,8 @@ MsgId Network::send(Envelope env) {
   env.sent_at = sim_.now();
   count_send(env);
 
-  const auto& link = topo_.link(env.src, env.dst);
-  SimTime delay = link.latency;
-  if (std::isfinite(link.bytes_per_sec)) {
-    delay += from_seconds_f(static_cast<double>(env.wire_bytes()) /
-                            link.bytes_per_sec);
-  }
+  const SimTime delay =
+      topo_.link(env.src, env.dst).transfer_time(env.wire_bytes());
   const MsgId id = env.id;
   const std::uint32_t slot = alloc_flight();
   Flight& f = flights_[slot];

@@ -86,6 +86,38 @@ void AgentBase::send_control_or_local(
   send_control(dst, bytes, std::move(payload));
 }
 
+void AgentBase::freeze_app() {
+  post_rollback_stash_.clear();
+  rollback_pending_ = true;
+  ctx_.app->freeze();
+}
+
+void AgentBase::thaw_app(const AppSnapshot& snap) {
+  rollback_pending_ = false;
+  ctx_.app->restore(snap);
+}
+
+void AgentBase::replay_stash() {
+  auto stash = std::move(post_rollback_stash_);
+  post_rollback_stash_.clear();
+  for (const net::Envelope& env : stash) on_message(env);
+}
+
+void AgentBase::account_lost_work(const AppSnapshot& restored) {
+  const SimTime lost = ctx_.app->snapshot().virtual_work - restored.virtual_work;
+  if (lost.ns > 0) {
+    named_summary(stat_lost_work_, "rollback.lost_work_s").add(lost.seconds());
+  }
+}
+
+void AgentBase::count_cluster_rollback(ClusterId c, SeqNum depth) {
+  named_stat(stat_rollback_count_, "rollback.count").inc();
+  named_stat(stat_rollback_nodes_, "rollback.nodes")
+      .inc(ctx_.topology->cluster_size(c));
+  named_summary(stat_rollback_depth_, "rollback.depth_clcs")
+      .add(static_cast<double>(depth));
+}
+
 void AgentBase::broadcast_control(
     ClusterId cluster_id, std::uint64_t bytes,
     std::shared_ptr<const net::ControlPayload> payload, bool include_self) {

@@ -11,7 +11,13 @@
 //                      checkpoint cuts exact — docs/architecture.md,
 //                      refinement R5),
 //   * deliver_app()  — record the delivery and hand the message to the app,
-//   * send_control() / broadcast helpers for protocol traffic.
+//   * send_control() / broadcast helpers for protocol traffic,
+//   * the recovery rules every protocol shares (docs/architecture.md,
+//     "Recovery rules"): the frozen-application window between a rollback
+//     and its state transfer, the lost-work sum and the cluster-rollback
+//     counters.
+
+#include <vector>
 
 #include "proto/agent.hpp"
 
@@ -75,6 +81,37 @@ class AgentBase : public ProtocolAgent {
   bool is_cluster_coordinator() const {
     return self() == coordinator_of(cluster());
   }
+  /// Position of `n` within its cluster (index into a CLC's parts).
+  std::uint32_t local_index(NodeId n) const {
+    return n.v - ctx_.topology->first_node(ctx_.topology->cluster_of(n)).v;
+  }
+
+  // -- recovery rules shared by every protocol ------------------------------
+
+  /// True between freeze_app() and thaw_app(): the application is frozen
+  /// awaiting its state transfer and cannot send.
+  bool rollback_pending() const { return rollback_pending_; }
+  /// While frozen, hold an arriving application message for replay_stash()
+  /// and return true; otherwise return false and leave it to the caller.
+  bool stash_if_frozen(const net::Envelope& env) {
+    if (!rollback_pending_) return false;
+    post_rollback_stash_.push_back(env);
+    return true;
+  }
+  /// Freeze the application at the instant a rollback is decided; arrivals
+  /// held for an earlier, superseded rollback are discarded.
+  void freeze_app();
+  /// End the freeze: restore the application to `snap` and resume it.
+  void thaw_app(const AppSnapshot& snap);
+  /// Hand the messages held while frozen back to on_message, in order.
+  void replay_stash();
+  /// Add the work undone by restoring `restored` (virtual compute since
+  /// that capture) to rollback.lost_work_s.  Call before the restore.
+  void account_lost_work(const AppSnapshot& restored);
+  /// Count one cluster-scope rollback of cluster `c`, `depth` CLCs deep:
+  /// rollback.count, rollback.nodes (every node of `c`) and
+  /// rollback.depth_clcs.
+  void count_cluster_rollback(ClusterId c, SeqNum depth);
 
  private:
   net::Envelope make_local_control(
@@ -86,6 +123,13 @@ class AgentBase : public ProtocolAgent {
 
   stats::Counter* stat_resent_msgs_{nullptr};
   stats::Counter* stat_resent_bytes_{nullptr};
+  stats::Counter* stat_rollback_count_{nullptr};
+  stats::Counter* stat_rollback_nodes_{nullptr};
+  stats::Summary* stat_rollback_depth_{nullptr};
+  stats::Summary* stat_lost_work_{nullptr};
+
+  bool rollback_pending_{false};
+  std::vector<net::Envelope> post_rollback_stash_;  ///< arrivals while frozen
 };
 
 }  // namespace hc3i::proto

@@ -4,15 +4,14 @@
 //
 // The paper's process state is "all the data it needs to be restarted (the
 // virtual memory, list of opened files, sockets, ...)".  The simulator
-// abstracts that into AppSnapshot — an opaque progress marker plus a
-// modelled size — and AppHandle, the hooks a checkpointing protocol uses to
+// abstracts that into AppSnapshot — a progress marker, a delivery count and
+// a modelled size — and AppHandle, the hooks a checkpointing protocol uses to
 // capture and restore one process.
 
 #include <cstdint>
 
 #include "net/message.hpp"
 #include "storage/state_region.hpp"
-#include "util/inline_vec.hpp"
 #include "util/time.hpp"
 
 namespace hc3i::proto {
@@ -32,11 +31,8 @@ struct AppSnapshot {
   /// True when this snapshot is a delta over the node's previous committed
   /// capture (restore must replay the chain back to the last full image).
   bool incremental{false};
-  /// Opaque application words (e.g. RNG state under the PWD assumption the
-  /// pessimistic-logging baseline needs; empty otherwise).  Inline storage:
-  /// snapshots are taken per node per CLC round and copied into acks and
-  /// committed records, and a heap vector here was one allocation per copy.
-  InlineVec<std::uint64_t, 4> opaque;
+  /// Application messages the process had received at capture.
+  std::uint64_t received{0};
 };
 
 /// Per-process hooks the protocol layer drives. Implemented by the workload

@@ -37,8 +37,6 @@ class Timer {
   /// Stop the timer; it will not fire until re-armed.
   void cancel();
 
-  /// Change the period; takes effect at the next arm()/reset().
-  void set_period(SimTime period) { period_ = period; }
   SimTime period() const { return period_; }
 
   /// True if an expiry is currently scheduled.
@@ -51,7 +49,7 @@ class Timer {
   void on_fire();
 
   Simulation& sim_;
-  SimTime period_;
+  const SimTime period_;
   bool periodic_;
   Callback cb_;
   std::optional<EventId> pending_;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "driver/run.hpp"
+#include "obs/recording.hpp"
 #include "test_util.hpp"
 
 namespace hc3i::testing {
@@ -155,6 +159,40 @@ TEST(Independent, GcIsRefused) {
   opts.hc3i.enable_gc = true;  // the driver must override this
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("gc.rounds"), 0u);
+}
+
+TEST(AllProtocols, RecoveryEndsOneStateTransferAfterDetection) {
+  // Every protocol restarts the failed node from the replica a neighbour
+  // holds (paper §3.1): one SAN transfer of the process state.  With
+  // intra-cluster traffic only, no rollback can cascade, so each protocol's
+  // recovery must end exactly detection + state transfer after the kill.
+  const SimTime kill = minutes(25);
+  for (const driver::ProtocolKind kind :
+       {driver::ProtocolKind::kHc3i, driver::ProtocolKind::kIndependent,
+        driver::ProtocolKind::kCoordinatedGlobal,
+        driver::ProtocolKind::kHierarchicalCoordinated,
+        driver::ProtocolKind::kPessimisticLog}) {
+    SCOPED_TRACE(driver::to_string(kind));
+    auto opts = base_opts(kind);
+    // A state large enough that its transfer dominates the SAN latency.
+    opts.spec.application.state_bytes = 1024 * 1024;
+    opts.spec.application.clusters[0].traffic = {1.0, 0.0};
+    opts.spec.application.clusters[1].traffic = {0.0, 1.0};
+    opts.campaign.kills.push_back(fault::KillSpec{kill, NodeId{1}});
+    opts.trace = true;
+    const auto result = driver::run_simulation(opts);
+    std::vector<std::int64_t> failures_ns, ends_ns;
+    result.obs->recorder.records().for_each([&](const obs::TraceRecord& r) {
+      if (r.kind == obs::RecordKind::kFailure) failures_ns.push_back(r.t.ns);
+      if (r.kind == obs::RecordKind::kRecoveryEnd) ends_ns.push_back(r.t.ns);
+    });
+    const SimTime end = kill + opts.spec.timers.detection_delay +
+                        opts.spec.state_transfer_time(ClusterId{0});
+    EXPECT_EQ(failures_ns, std::vector<std::int64_t>{kill.ns});
+    EXPECT_EQ(ends_ns, std::vector<std::int64_t>{end.ns});
+    EXPECT_EQ(result.counter("net.app.inter.msgs"), 0u);
+    EXPECT_TRUE(result.violations.empty());
+  }
 }
 
 TEST(AllProtocols, NamesAreStable) {

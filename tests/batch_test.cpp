@@ -3,10 +3,10 @@
 // The load-bearing property: a run executed inside batch::Runner — any shard
 // count, any interleaving, warm or cold worker pools — produces a counter
 // dump byte-identical to the same (spec, seed) executed solo on a fresh
-// single-threaded context.  The grid here (3 topologies x 2 campaigns x
-// 5 seeds) is the ISSUE's shard-isolation suite, compared at threads = 1, 4
-// and 8; the same binary runs under ThreadSanitizer in CI to check the
-// no-sharing claim at the memory level.
+// single-threaded context.  The shard-isolation grid here (3 topologies x
+// 2 campaigns x 5 seeds, under each of the five protocols) is compared at
+// threads = 1, 4 and 8; the same binary runs under ThreadSanitizer in CI to
+// check the no-sharing claim at the memory level.
 //
 // Alongside it: the pool-isolation regressions for the PayloadArena refactor
 // (owner tags refuse cross-arena recycling, blocks may outlive their arena,
@@ -40,15 +40,23 @@ namespace {
 // Shard isolation: sharded == solo, byte for byte
 // ---------------------------------------------------------------------------
 
-/// The ISSUE grid: 3 topologies x 2 campaigns x 5 seeds = 30 runs.  The
-/// explicit campaign (a scripted early kill of node 1) is valid on every
-/// topology point, so the same plan object is shared across the cells.
-batch::SweepSpec isolation_sweep() {
+/// The isolation grid: 3 topologies x 2 campaigns x 5 seeds = 30 runs of
+/// `protocol`.  The explicit campaign (a scripted early kill of node 1) is
+/// valid on every topology point, so the same plan object is shared across
+/// the cells.  Pessimistic logging refuses kills within one checkpoint
+/// period plus 10 minutes of the 30-minute horizon, so its kill comes
+/// earlier.
+batch::SweepSpec isolation_sweep(
+    driver::ProtocolKind protocol = driver::ProtocolKind::kHc3i) {
   batch::SweepSpec sweep;
+  sweep.protocol = protocol;
   sweep.topologies = {batch::small_topology(2, 3), batch::small_topology(3, 2),
                       batch::small_topology(2, 4)};
   fault::Campaign plan;
-  plan.kills.push_back(fault::KillSpec{minutes(20), NodeId{1}});
+  plan.kills.push_back(fault::KillSpec{
+      protocol == driver::ProtocolKind::kPessimisticLog ? minutes(10)
+                                                        : minutes(20),
+      NodeId{1}});
   sweep.campaigns = {batch::no_campaign(),
                      batch::explicit_campaign("kill_n1", std::move(plan))};
   sweep.seeds = {1, 2, 3, 4, 5};
@@ -71,9 +79,20 @@ std::vector<std::string> solo_dumps(const std::vector<batch::RunCase>& cases) {
 }
 
 TEST(ShardIsolation, ShardedDumpsMatchSoloAtEveryThreadCount) {
-  const batch::SweepSpec sweep = isolation_sweep();
-  const std::vector<batch::RunCase> cases = batch::expand(sweep);
-  ASSERT_EQ(cases.size(), 30u);
+  // The grid under every protocol, so the ThreadSanitizer job covers the
+  // baselines' agents as well as HC3I's.
+  std::vector<batch::RunCase> cases;
+  for (const driver::ProtocolKind protocol :
+       {driver::ProtocolKind::kHc3i, driver::ProtocolKind::kIndependent,
+        driver::ProtocolKind::kCoordinatedGlobal,
+        driver::ProtocolKind::kHierarchicalCoordinated,
+        driver::ProtocolKind::kPessimisticLog}) {
+    for (batch::RunCase& rc : batch::expand(isolation_sweep(protocol))) {
+      rc.index = cases.size();
+      cases.push_back(std::move(rc));
+    }
+  }
+  ASSERT_EQ(cases.size(), 150u);
   const std::vector<std::string> solo = solo_dumps(cases);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
@@ -86,6 +105,9 @@ TEST(ShardIsolation, ShardedDumpsMatchSoloAtEveryThreadCount) {
     EXPECT_EQ(report.failures(), 0u);
     for (std::size_t i = 0; i < cases.size(); ++i) {
       EXPECT_TRUE(report.cases[i].ok) << cases[i].name();
+      // Every kill cell really injected its kill.
+      EXPECT_EQ(report.cases[i].faults, cases[i].plan ? 1u : 0u)
+          << cases[i].name();
       EXPECT_EQ(report.cases[i].dump, solo[i])
           << cases[i].name() << " diverged at threads=" << threads;
     }

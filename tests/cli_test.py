@@ -81,7 +81,11 @@ class MalformedFlags(unittest.TestCase):
                  ("scale_federation", "--nodes=0"),
                  ("scale_federation", "--minutes=0"),
                  ("bench_fig8_timer1_sweep", "--seeds=0"),
-                 ("bench_table1_messages", "--seeds=-2")]
+                 ("bench_table1_messages", "--seeds=-2"),
+                 ("protocol_comparison", "--hours=0"),
+                 ("protocol_comparison", "--mtbf-min=-3"),
+                 ("code_coupling_pipeline", "--hours=0"),
+                 ("code_coupling_pipeline", "--clc-min=-30")]
         for binary, flag in cases:
             with self.subTest(binary=binary, flag=flag):
                 proc = run(binary, flag)
@@ -103,6 +107,20 @@ class MalformedFlags(unittest.TestCase):
                                  proc.stdout + proc.stderr)
                 self.assertIn("flag --minutes wants a count from 1 to "
                               "525600, got 525601", proc.stderr)
+        # Hours likewise stop at a simulated year.
+        for binary in ("protocol_comparison", "code_coupling_pipeline"):
+            with self.subTest(binary=binary):
+                proc = run(binary, "--hours=8761")
+                self.assertEqual(proc.returncode, 2,
+                                 proc.stdout + proc.stderr)
+                self.assertIn("flag --hours wants a count from 1 to "
+                              "8760, got 8761", proc.stderr)
+
+    def test_unknown_protocol_exits_2(self):
+        proc = run("protocol_comparison", "--protocol=bogus")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("unknown --protocol: bogus", proc.stderr)
+        self.assertEqual(proc.stdout, "")
 
     def test_other_mains_report_flag_errors_as_usage_errors(self):
         for binary, flag in [("quickstart", "--seed=x"),
